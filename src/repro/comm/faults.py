@@ -45,6 +45,26 @@ class CrashEvent:
             )
 
 
+def _spec_items(spec: str, what: str):
+    """``(key, value)`` pairs of a comma-separated ``key=value`` spec."""
+    for item in filter(None, (s.strip() for s in spec.split(","))):
+        if "=" not in item:
+            raise ConfigurationError(f"{what} spec item {item!r} is not key=value")
+        key, _, value = item.partition("=")
+        yield key.strip().lower(), value
+
+
+def _event_fields(ev: str, what: str, form: str, arities: tuple) -> list[int]:
+    """The integer fields of one ``form``-shaped ``a:b[:c]`` event."""
+    parts = ev.split(":")
+    if len(parts) not in arities:
+        raise ConfigurationError(f"{what} event {ev!r} is not {form}")
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise ConfigurationError(f"{what} event {ev!r} has non-integer fields") from None
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Seeded description of fabric misbehaviour.
@@ -111,27 +131,12 @@ class FaultPlan:
             "delay": ("delay_rate", float),
             "maxdelay": ("max_delay", int),
         }
-        for item in filter(None, (s.strip() for s in spec.split(","))):
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"fault spec item {item!r} is not key=value"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip().lower()
+        for key, value in _spec_items(spec, "fault"):
             if key == "crash":
-                for ev in value.split("+"):
-                    parts = ev.split(":")
-                    if len(parts) not in (2, 3):
-                        raise ConfigurationError(
-                            f"crash event {ev!r} is not tick:rank[:down_rounds]"
-                        )
-                    try:
-                        nums = [int(x) for x in parts]
-                    except ValueError:
-                        raise ConfigurationError(
-                            f"crash event {ev!r} has non-integer fields"
-                        ) from None
-                    crashes.append(CrashEvent(*nums))
+                crashes.extend(
+                    CrashEvent(*_event_fields(ev, "crash", "tick:rank[:down_rounds]", (2, 3)))
+                    for ev in value.split("+")
+                )
             elif key in aliases:
                 name, conv = aliases[key]
                 try:
@@ -239,27 +244,12 @@ class WorkerFaultPlan:
         """
         kwargs: dict = {}
         events: list[WorkerFaultEvent] = []
-        for item in filter(None, (s.strip() for s in spec.split(","))):
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"worker fault spec item {item!r} is not key=value"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip().lower()
+        for key, value in _spec_items(spec, "worker fault"):
             if key in WORKER_FAULT_KINDS:
-                for ev in value.split("+"):
-                    parts = ev.split(":")
-                    if len(parts) != 2:
-                        raise ConfigurationError(
-                            f"worker fault event {ev!r} is not tick:rank"
-                        )
-                    try:
-                        tick, rank = (int(x) for x in parts)
-                    except ValueError:
-                        raise ConfigurationError(
-                            f"worker fault event {ev!r} has non-integer fields"
-                        ) from None
-                    events.append(WorkerFaultEvent(tick, rank, key))
+                events.extend(
+                    WorkerFaultEvent(*_event_fields(ev, "worker fault", "tick:rank", (2,)), key)
+                    for ev in value.split("+")
+                )
             elif key in ("seed", "forkfail"):
                 name = "seed" if key == "seed" else "fork_failures"
                 try:

@@ -22,6 +22,8 @@ visitor send/receive totals used by quiescence detection.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.comm.message import ENVELOPE_HEADER_BYTES, KIND_VISITOR, Envelope, Packet
@@ -72,13 +74,10 @@ class Mailbox:
         #: the spilled (beyond-cap) portion of each hop buffer, bytes.
         self._spill_bytes: dict[int, int] = {}
         self._local: list[Envelope] = []
-        # next-hop lookup table for this rank (hot path: one list index
-        # instead of a routing-method call per enqueued envelope)
-        self._hop_row = [
-            topology.next_hop(rank, dest) if dest != rank else rank
-            for dest in range(topology.num_ranks)
-        ]
-        self._hop_np = np.asarray(self._hop_row, dtype=np.int64)
+        # next-hop lookup table for this rank (hot path: one index instead
+        # of a routing-method call per enqueued envelope)
+        self._hop_np = topology.next_hops(rank)
+        self._hop_row = self._hop_np.tolist()
         # --- counters ---------------------------------------------------
         #: visitor envelopes originated or forwarded from this rank
         #: (the "visitor send count" of the quiescence algorithm).
@@ -103,46 +102,39 @@ class Mailbox:
 
     # ------------------------------------------------------------------ #
     def send(self, dest: int, kind: int, payload: object, size_bytes: int) -> None:
-        """Queue one message for ``dest`` (aggregated, routed)."""
+        """Queue one message for ``dest`` (aggregated, routed): a plain
+        append to its next hop's buffer."""
         env = Envelope(dest=dest, kind=kind, payload=payload, size_bytes=size_bytes)
         if kind == KIND_VISITOR:
             self.visitors_sent += 1
         if dest == self.rank:
             self._local.append(env)
             return
-        self._enqueue(env)
+        hop = self._hop_row[dest]
+        buffered = self._buffer_counts.pop(hop, 0) + 1
+        full = buffered >= self.aggregation_size
+        read_back, _ = self._ledger([(hop, buffered - 1, 1, int(full))],
+                                    size_bytes + ENVELOPE_HEADER_BYTES)
+        if full:
+            self._emit(hop, self._buffers.pop(hop, []) + [env], read_back[0])
+        else:
+            self._buffers.setdefault(hop, []).append(env)
+            self._buffer_counts[hop] = buffered
 
     def send_batch(self, dest: int, batch, size_bytes: int) -> None:
         """Queue a :class:`~repro.core.batch.VisitorBatch` of N visitors for
-        ``dest`` as one envelope of logical count N.
-
-        Counter and wire accounting are identical to N consecutive
-        :meth:`send` calls (``size_bytes`` is the per-visitor payload
-        size); aggregation splits the batch at packet boundaries.
-        """
-        n = len(batch)
-        if n == 0:
-            return
-        env = Envelope(dest=dest, kind=KIND_VISITOR, payload=batch,
-                       size_bytes=size_bytes, count=n)
-        self.visitors_sent += n
-        if dest == self.rank:
-            self._local.append(env)
-            return
-        self._enqueue(env)
+        ``dest`` exactly as N :meth:`send` calls would (``size_bytes`` is
+        the per-visitor payload size)."""
+        self.send_stream(np.full(len(batch), dest), batch, size_bytes)
 
     def send_stream(self, dests: np.ndarray, batch, size_bytes: int) -> None:
         """Queue a mixed-destination :class:`VisitorBatch` stream: visitor
         ``i`` of ``batch`` goes to rank ``dests[i]``.
 
-        Exactly equivalent to N :meth:`send` calls in stream order: one
-        envelope per destination *run*, enqueued in stream order.  Run
-        envelopes keep every hop buffer's fill level crossing the
-        aggregation boundary at the same logical-message position the
-        per-visitor calls would, so mid-tick flushes — and therefore the
-        rank's global packet emission order, which the fault injector's
-        single decision stream keys off — are identical to the object
-        path's, not merely per-hop equivalent.
+        Exactly equivalent to N :meth:`send` calls in stream order (see
+        :meth:`_segment`): the same packets, emitted in the same global
+        order — which the fault injector's single decision stream keys
+        off — with the same counters.
         """
         n = len(batch)
         if n == 0:
@@ -151,111 +143,133 @@ class Mailbox:
         hops = self._hop_np[dests]
         self_m = hops == self.rank  # loopback: next_hop is self only for self
         if self_m.any():
-            sub = batch.take(self_m)
             # _local is drained only at receive(); its position relative to
             # the remote enqueues below is unobservable, so the loopback
             # visitors travel as one envelope (stream order preserved).
-            self._local.append(
-                Envelope(self.rank, KIND_VISITOR, sub, size_bytes, len(sub))
-            )
-            if self_m.all():
+            sub = batch.take(self_m) if not self_m.all() else batch
+            self._local.append(Envelope(self.rank, KIND_VISITOR, sub, size_bytes, len(sub)))
+            if len(sub) == n:
                 return
             keep = ~self_m
-            batch = batch.take(keep)
-            dests = dests[keep]
-        cuts = np.flatnonzero(dests[1:] != dests[:-1]) + 1
-        if cuts.size == 0:
-            self._enqueue(
-                Envelope(int(dests[0]), KIND_VISITOR, batch, size_bytes, len(batch))
-            )
-            return
-        bounds = [0, *cuts.tolist(), len(dests)]
-        for i in range(len(bounds) - 1):
-            lo, hi = bounds[i], bounds[i + 1]
-            self._enqueue(
-                Envelope(int(dests[lo]), KIND_VISITOR,
-                         batch.slice(lo, hi), size_bytes, hi - lo)
-            )
+            batch, dests, hops = batch.take(keep), dests[keep], hops[keep]
+        # the arena: the stream grouped stably by hop, columns gathered once
+        n, pos = len(batch), range(len(batch))  # pos: arena index -> stream position
+        if n > 1 and (hops[1:] < hops[:-1]).any():
+            order = np.argsort(hops, kind="stable")
+            hops, dests, batch, pos = hops[order], dests[order], batch.take(order), order.tolist()
+        lo = [0, *(np.flatnonzero(dests[1:] != dests[:-1]) + 1).tolist()]
+        self._segment([
+            (h, a, Envelope(d, KIND_VISITOR, batch.slice(a, b), size_bytes, b - a))
+            for h, d, a, b in zip(hops[lo].tolist(), dests[lo].tolist(), lo, [*lo[1:], n],
+                                  strict=True)
+        ], pos)
 
-    def _account(self, hop: int, env: Envelope) -> None:
-        """Flow-control accounting for one envelope entering a hop buffer.
+    def _segment(self, pieces: list, pos) -> None:
+        """The segment pass: enqueue a visitor stream exactly as N
+        per-message enqueues in stream order would.
 
-        Byte-granular so the object and batch paths agree exactly: the
-        cumulative buffered bytes of a hop determine how much of this
-        envelope lands beyond the cap, independent of envelope boundaries.
-        Overflow bytes go to the spill log; each logical message with
-        bytes beyond the cap counts one credit stall.
+        ``pieces`` are ``(hop, a, envelope)``: envelopes of one wire size,
+        grouped stably by next hop (never this rank); message ``k`` of a
+        piece sits at stream position ``pos[a + k]``.  A hop holding ``c0``
+        messages fills packets at group offsets ``agg - c0 + j*agg``; each
+        packet is emitted at its filling message's stream position, the
+        hop's earlier buffer rides in its first packet, and the remainder
+        stays buffered.  A packet carries one envelope per piece it holds
+        (batch pieces are sliced at packet boundaries): envelope boundaries
+        are the one thing that differs from per-message sends.
         """
-        per_msg = env.size_bytes + ENVELOPE_HEADER_BYTES
-        pre = self._buffer_bytes.get(hop, 0)
-        post = pre + env.count * per_msg
-        self._buffer_bytes[hop] = post
-        cap = self.capacity_bytes
-        over_pre = pre - cap if pre > cap else 0
-        over_post = post - cap if post > cap else 0
-        spilled = over_post - over_pre
+        agg = self.aggregation_size
+        groups = []  # [hop, buffered count, new visitors, packets] per hop
+        packets, rests, envs = [], [], []  # packets/rests: (stream position, group, ...)
+        for hop, a, env in pieces:
+            if not groups or hop != groups[-1][0]:
+                if envs:
+                    rests.append((pos[start], len(groups) - 1, envs, c))
+                c = self._buffer_counts.get(hop, 0)
+                groups.append([hop, c, 0, 0])
+                envs = []
+            m, k = env.count, 0
+            groups[-1][2] += m
+            while k < m:
+                take = min(m - k, agg - c)
+                if not envs:
+                    start = a + k
+                envs.append(env if take == m else Envelope(
+                    env.dest, KIND_VISITOR, env.payload.slice(k, k + take), env.size_bytes, take))
+                k += take
+                c += take
+                if c == agg:
+                    packets.append((pos[a + k - 1], len(groups) - 1, envs))
+                    groups[-1][3] += 1
+                    envs, c = [], 0
+        if envs:
+            rests.append((pos[start], len(groups) - 1, envs, c))
+        pm = ENVELOPE_HEADER_BYTES + pieces[0][2].size_bytes  # wire bytes per message
+        read_back, full_spill = self._ledger(groups, pm)
+        for _, g, envs in sorted(packets):
+            hop = groups[g][0]
+            self._buffer_counts.pop(hop, None)
+            self._emit(hop, self._buffers.pop(hop, []) + envs, read_back[g])
+            read_back[g] = full_spill  # only the first packet holds earlier bytes
+        # remainders join the hop dict in stream order of their first
+        # visitor: flush() walks that order at tick end
+        for _, g, envs, c in sorted(rests):
+            self._buffers.setdefault(groups[g][0], []).extend(envs)
+            self._buffer_counts[groups[g][0]] = c
+
+    def _ledger(self, groups: list, pm: int) -> tuple[list, int]:
+        """Flow control of one segment pass (a no-op without a byte cap):
+        each group ``[hop, c, m, k]`` is a hop holding ``c`` messages that
+        takes ``m`` more of ``pm`` wire bytes each and emits ``k`` packets,
+        one fill window each; the remainder's window stays in the ledger.
+        In a window, bytes beyond the cap spill and each message whose end
+        byte lies beyond it is a credit stall.  Returns each hop's first
+        read-back (earlier spill included) and every later one's.  The
+        pager only advances a cursor on a spill, so the whole pass writes
+        once, before any read-back.
+        """
+        agg, cap = self.aggregation_size, self.capacity_bytes
+        if cap is None:
+            return [0] * len(groups), 0
+        before = self.bp_spilled_bytes
+
+        def fill(pre: int, m: int, times: int = 1) -> int:
+            post = pre + m * pm
+            spilled = max(post - cap, 0) - max(pre - cap, 0)
+            self.bp_spilled_bytes += times * spilled
+            self.bp_stalls += times * -(-spilled // pm)
+            self.max_resident_bytes = max(self.max_resident_bytes, min(post, cap))
+            return spilled
+
+        read_back = []
+        for hop, c, m, k in groups:
+            pre = self._buffer_bytes.pop(hop, 0)
+            spilled = self._spill_bytes.pop(hop, 0)
+            read_back.append(spilled + fill(pre, agg - c) if k else 0)
+            if k > 1:
+                fill(0, agg, k - 1)
+            if k:
+                m -= agg * k - c
+                pre = spilled = 0
+            if m:
+                self._buffer_bytes[hop] = pre + m * pm
+                spilled += fill(pre, m)
+                if spilled:
+                    self._spill_bytes[hop] = spilled
+        if self.spill is not None:
+            # repro-lint: disable=RPR005 -- the engine drains this pager's epoch into tick costs
+            self.spill.spill(NS_MAILBOX, self.bp_spilled_bytes - before)
+        return read_back, max(agg * pm - cap, 0)
+
+    def _emit(self, hop: int, envelopes: list[Envelope], spilled: int) -> None:
+        """Put one packet on the wire, first reading its window's overflow
+        back from the spill log."""
         if spilled:
-            self._spill_bytes[hop] = self._spill_bytes.get(hop, 0) + spilled
-            self.bp_spilled_bytes += spilled
-            self.bp_stalls += -(-spilled // per_msg)  # ceil division
+            self.bp_unspilled_bytes += spilled
             if self.spill is not None:
                 # repro-lint: disable=RPR005 -- the engine drains this pager's epoch into tick costs
-                self.spill.spill(NS_MAILBOX, spilled)
-        resident = post - over_post
-        if resident > self.max_resident_bytes:
-            self.max_resident_bytes = resident
-
-    def _enqueue(self, env: Envelope) -> None:
-        hop = self._hop_row[env.dest]
-        agg = self.aggregation_size
-        bounded = self.capacity_bytes is not None
-        buffered = self._buffer_counts.get(hop, 0)
-        if env.count == 1:  # object-path / control fast path
-            self._buffers.setdefault(hop, []).append(env)
-            if bounded:
-                self._account(hop, env)
-            if buffered + 1 >= agg:
-                self._flush_hop(hop)
-            else:
-                self._buffer_counts[hop] = buffered + 1
-            return
-        # Batch envelopes are split so packet boundaries fall at exactly
-        # the logical-message counts the object path would produce: a
-        # buffer flushes the moment it reaches ``aggregation_size``
-        # messages, mid-batch if necessary.
-        while env is not None:
-            space = agg - buffered
-            if env.count < space:
-                self._buffers.setdefault(hop, []).append(env)
-                if bounded:
-                    self._account(hop, env)
-                self._buffer_counts[hop] = buffered + env.count
-                return
-            head, tail = _split_envelope(env, space)
-            self._buffers.setdefault(hop, []).append(head)
-            if bounded:
-                self._account(hop, head)
-            self._buffer_counts[hop] = agg
-            self._flush_hop(hop)
-            buffered = 0
-            env = tail
-
-    def _flush_hop(self, hop: int) -> None:
-        buf = self._buffers.pop(hop, None)
-        self._buffer_counts.pop(hop, None)
-        if self.capacity_bytes is not None:
-            self._buffer_bytes.pop(hop, None)
-            spilled = self._spill_bytes.pop(hop, None)
-            if spilled:
-                # read the overflow back from the spill log before the
-                # packet goes on the wire
-                self.bp_unspilled_bytes += spilled
-                if self.spill is not None:
-                    # repro-lint: disable=RPR005 -- the engine drains this pager's epoch into tick costs
-                    self.spill.unspill(NS_MAILBOX, spilled)
-        if not buf:
-            return
-        pkt = Packet(src=self.rank, hop_dest=hop, envelopes=buf)
+                self.spill.unspill(NS_MAILBOX, spilled)
+        pkt = Packet(src=self.rank, hop_dest=hop, envelopes=envelopes)
         self.network.send_packet(pkt)
         self.packets_sent += 1
         self.bytes_sent += pkt.wire_bytes
@@ -264,7 +278,9 @@ class Mailbox:
         """Flush all aggregation buffers (called at every tick end so
         messages are never stranded)."""
         for hop in list(self._buffers):
-            self._flush_hop(hop)
+            self._buffer_counts.pop(hop, None)
+            self._buffer_bytes.pop(hop, None)
+            self._emit(hop, self._buffers.pop(hop), self._spill_bytes.pop(hop, 0))
 
     # ------------------------------------------------------------------ #
     def receive(self, packets: list[Packet]) -> list[Envelope]:
@@ -275,6 +291,7 @@ class Mailbox:
         this rank is sending) and do not appear in the returned list.
         """
         delivered: list[Envelope] = []
+        run: list[Envelope] = []  # transit envelopes of one wire size
         for pkt in packets:
             if pkt.hop_dest != self.rank:
                 raise CommunicationError(
@@ -283,9 +300,12 @@ class Mailbox:
             for env in pkt.envelopes:
                 if env.dest == self.rank:
                     delivered.append(env)
-                else:
-                    self.envelopes_forwarded += env.count
-                    self._enqueue(env)
+                    continue
+                self.envelopes_forwarded += env.count
+                if run and env.size_bytes != run[0].size_bytes:
+                    run = self._forward(run)
+                run.append(env)
+        self._forward(run)
         if self._local:
             delivered.extend(self._local)
             self._local = []
@@ -293,6 +313,17 @@ class Mailbox:
             if env.kind == KIND_VISITOR:
                 self.visitors_received += env.count
         return delivered
+
+    def _forward(self, run: list[Envelope]) -> list[Envelope]:
+        """Re-buffer a run of transit envelopes as one segment pass;
+        returns a fresh run."""
+        if run:
+            hops = [self._hop_row[e.dest] for e in run]
+            at = list(accumulate((e.count for e in run), initial=0))
+            self._segment([(hops[i], at[i], run[i])
+                           for i in sorted(range(len(run)), key=hops.__getitem__)],
+                          range(at[-1]))
+        return []
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
@@ -384,13 +415,3 @@ class Mailbox:
                 total += env.count
         return total
 
-
-def _split_envelope(env: Envelope, k: int) -> tuple[Envelope, Envelope | None]:
-    """Split a batch envelope into its first ``k`` visitors and the rest."""
-    if env.count <= k:
-        return env, None
-    head, tail = env.payload.split(k)
-    return (
-        Envelope(env.dest, env.kind, head, env.size_bytes, k),
-        Envelope(env.dest, env.kind, tail, env.size_bytes, env.count - k),
-    )

@@ -76,7 +76,8 @@ class Packet:
         """Total bytes on the wire, including the packet header (computed
         once — this is on the network hot path)."""
         if self._cached_wire_bytes < 0:
-            self._cached_wire_bytes = PACKET_HEADER_BYTES + sum(
-                e.wire_bytes for e in self.envelopes
-            )
+            total = PACKET_HEADER_BYTES  # Envelope.wire_bytes, inlined per envelope
+            for e in self.envelopes:
+                total += e.count * (e.size_bytes + ENVELOPE_HEADER_BYTES)
+            self._cached_wire_bytes = total
         return self._cached_wire_bytes

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.errors import RoutingError
 
 
@@ -35,6 +37,13 @@ class Topology(ABC):
     def next_hop(self, current: int, dest: int) -> int:
         """The next rank on the route from ``current`` toward ``dest``."""
 
+    def next_hops(self, rank: int) -> np.ndarray:
+        """Row ``rank`` of the next-hop table: entry ``d`` is
+        ``next_hop(rank, d)``, and ``rank`` itself at ``d == rank``."""
+        self._check(rank)
+        return np.array([self.next_hop(rank, d) if d != rank else rank
+                         for d in range(self.num_ranks)], dtype=np.int64)
+
     def route(self, src: int, dest: int) -> list[int]:
         """The full hop sequence from ``src`` to ``dest`` (excludes ``src``)."""
         self._check(src)
@@ -43,7 +52,7 @@ class Topology(ABC):
         cur = src
         while cur != dest:
             nxt = self.next_hop(cur, dest)
-            if nxt == cur or len(hops) > 4:
+            if nxt == cur or len(hops) >= self.num_ranks:
                 raise RoutingError(
                     f"routing loop from {src} to {dest} via {hops}"
                 )  # pragma: no cover - defensive
@@ -59,24 +68,12 @@ class Topology(ABC):
         """All ranks this rank ever sends a packet directly to.
 
         The size of this set is the "number of communicating channels" the
-        paper's topologies are designed to bound.
+        paper's topologies are designed to bound.  A hop depends only on
+        the current rank and the destination, so transit traffic leaves
+        over the same channels as originated traffic: row ``rank`` of the
+        next-hop table.
         """
-        self._check(rank)
-        out = set()
-        for dest in range(self.num_ranks):
-            if dest != rank:
-                out.add(self.next_hop(rank, dest))
-        # A rank also forwards packets mid-route; include those hops.
-        for src in range(self.num_ranks):
-            for dest in range(self.num_ranks):
-                if src == dest:
-                    continue
-                route = [src, *self.route(src, dest)]
-                for a, b in zip(route, route[1:], strict=False):
-                    if a == rank:
-                        out.add(b)
-        out.discard(rank)
-        return out
+        return set(self.next_hops(rank).tolist()) - {rank}
 
     def _check(self, rank: int) -> None:
         if not 0 <= rank < self.num_ranks:
@@ -92,6 +89,10 @@ class DirectTopology(Topology):
         self._check(current)
         self._check(dest)
         return dest
+
+    def next_hops(self, rank: int) -> np.ndarray:
+        self._check(rank)
+        return np.arange(self.num_ranks, dtype=np.int64)
 
 
 def _balanced_factors(p: int, ndim: int) -> tuple[int, ...]:
@@ -137,11 +138,6 @@ class Grid2DTopology(Topology):
             raise RoutingError(f"grid {r}x{c} does not cover {num_ranks} ranks")
         self.rows, self.cols = int(r), int(c)
 
-    def coords(self, rank: int) -> tuple[int, int]:
-        """``(row, col)`` of a rank."""
-        self._check(rank)
-        return rank // self.cols, rank % self.cols
-
     def next_hop(self, current: int, dest: int) -> int:
         self._check(current)
         self._check(dest)
@@ -153,11 +149,12 @@ class Grid2DTopology(Topology):
             return row_cur * self.cols + col_dst  # row move to dest's column
         return dest  # column move
 
-    def channels(self, rank: int) -> set[int]:
-        row, col = self.coords(rank)
-        out = {row * self.cols + c for c in range(self.cols) if c != col}
-        out |= {r * self.cols + col for r in range(self.rows) if r != row}
-        return out
+    def next_hops(self, rank: int) -> np.ndarray:
+        self._check(rank)
+        dest = np.arange(self.num_ranks, dtype=np.int64)
+        col_dst = dest % self.cols
+        row_move = (rank // self.cols) * self.cols + col_dst
+        return np.where(col_dst != rank % self.cols, row_move, dest)
 
 
 class Grid3DTopology(Topology):
@@ -200,12 +197,12 @@ class Grid3DTopology(Topology):
             return self._rank(cx, dy, cz)
         return dest
 
-    def channels(self, rank: int) -> set[int]:
-        x, y, z = self.coords(rank)
-        out = {self._rank(x, y, k) for k in range(self.nz) if k != z}
-        out |= {self._rank(x, j, z) for j in range(self.ny) if j != y}
-        out |= {self._rank(i, y, z) for i in range(self.nx) if i != x}
-        return out
+    def next_hops(self, rank: int) -> np.ndarray:
+        cx, cy, cz = self.coords(rank)
+        dest = np.arange(self.num_ranks, dtype=np.int64)
+        dy, dz = (dest // self.nz) % self.ny, dest % self.nz
+        return np.where(dz != cz, self._rank(cx, cy, dz),
+                        np.where(dy != cy, self._rank(cx, dy, cz), dest))
 
 
 class HypercubeTopology(Topology):
@@ -237,19 +234,10 @@ class HypercubeTopology(Topology):
         lowest = diff & -diff  # lowest differing bit
         return current ^ lowest
 
-    def route(self, src: int, dest: int) -> list[int]:
-        self._check(src)
-        self._check(dest)
-        hops = []
-        cur = src
-        while cur != dest:
-            cur = self.next_hop(cur, dest)
-            hops.append(cur)
-        return hops
-
-    def channels(self, rank: int) -> set[int]:
+    def next_hops(self, rank: int) -> np.ndarray:
         self._check(rank)
-        return {rank ^ (1 << d) for d in range(self.dimensions)}
+        diff = rank ^ np.arange(self.num_ranks, dtype=np.int64)
+        return rank ^ (diff & -diff)
 
 
 def make_topology(name: str, num_ranks: int) -> Topology:

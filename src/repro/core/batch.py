@@ -86,7 +86,7 @@ class VisitorBatch:
             self.vertices[lo:hi],
             self.payloads[lo:hi],
             self.parents[lo:hi] if self.parents is not None else None,
-            tuple(e[lo:hi] for e in self.extras),
+            tuple(e[lo:hi] for e in self.extras) if self.extras else (),
         )
 
     def split(self, k: int) -> tuple["VisitorBatch", "VisitorBatch"]:

@@ -157,8 +157,12 @@ class EdgeList:
         # fits in int64 so src * n + dst cannot collide (guard overflow).
         n = max(self.num_vertices, 1)
         if n < (1 << 31):
+            # sort + adjacent diff: same result as np.unique, far cheaper
             keys = self.src * n + self.dst
-            uniq = np.unique(keys)
+            keys.sort()
+            first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            uniq = keys[first]
             return EdgeList(
                 src=(uniq // n), dst=(uniq % n), num_vertices=self.num_vertices, sorted_by_src=True
             )

@@ -1,9 +1,16 @@
 """Tests for the routed, aggregating mailbox."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.comm.mailbox import Mailbox
-from repro.comm.message import KIND_CONTROL, KIND_VISITOR
+from repro.comm.message import (
+    ENVELOPE_HEADER_BYTES,
+    KIND_CONTROL,
+    KIND_VISITOR,
+    PACKET_HEADER_BYTES,
+)
 from repro.comm.network import Network
 from repro.comm.routing import DirectTopology, Grid2DTopology
 from repro.errors import CommunicationError
@@ -251,3 +258,233 @@ class TestBatchSends:
         assert net.visitor_envelopes_in_flight() == 9
         net.advance()
         assert net.visitor_envelopes_in_flight() == 0
+
+
+# ---------------------------------------------------------------------- #
+# Segment-pass oracle: batch sends vs per-visitor sends
+# ---------------------------------------------------------------------- #
+_VISITOR_BYTES = 8
+_CONTROL_BYTES = 28
+
+
+class _RecordingNetwork(Network):
+    """Records each packet as (hop_dest, per-message contents, wire bytes);
+    per-message contents flatten batch envelopes, so envelope boundaries
+    inside a packet are not compared."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.log = []
+
+    def send_packet(self, packet):
+        super().send_packet(packet)
+        self.log.append((packet.hop_dest, _messages(packet.envelopes), packet.wire_bytes))
+
+
+def _messages(envelopes):
+    from repro.core.batch import VisitorBatch
+
+    out = []
+    for env in envelopes:
+        if isinstance(env.payload, VisitorBatch):
+            b = env.payload
+            assert len(b) == env.count
+            out.extend((env.dest, KIND_VISITOR, v, p)
+                       for v, p in zip(b.vertices.tolist(), b.payloads.tolist(), strict=True))
+        elif env.kind == KIND_VISITOR:
+            out.append((env.dest, KIND_VISITOR, *env.payload))
+        else:
+            out.append((env.dest, KIND_CONTROL, env.payload))
+    return out
+
+
+def _oracle_ops():
+    """Op sequences over destinations ``0..hi`` (a small ``hi`` makes hop
+    collisions, mid-run packet cuts and re-inserted hops likely)."""
+
+    def ops(hi):
+        dest = st.integers(0, hi)
+        return st.lists(
+            st.one_of(
+                st.tuples(st.just("send"), dest,
+                          st.sampled_from([KIND_VISITOR, KIND_CONTROL])),
+                st.tuples(st.just("stream"), st.lists(dest, max_size=40)),
+                st.tuples(st.just("batch"), dest, st.integers(0, 30)),
+                st.tuples(st.just("recv"), st.lists(
+                    st.tuples(dest, st.integers(0, 12)), max_size=6)),  # count 0 = control
+                st.tuples(st.just("flush")),
+            ),
+            max_size=25,
+        )
+
+    return st.integers(1, 11).flatmap(ops)
+
+
+class _PerMessageModel:
+    """The per-message mailbox, written out independently of
+    :class:`Mailbox`: each message joins its next hop's buffer, is charged
+    against the byte cap (bytes beyond it spill, one credit stall), and the
+    buffer flushes — reading its spill back — on reaching ``agg``."""
+
+    def __init__(self, topo, rank, agg, cap):
+        self.row = [topo.next_hop(rank, d) if d != rank else rank
+                    for d in range(topo.num_ranks)]
+        self.agg, self.cap = agg, cap
+        self.buffers, self.bytes, self.spilled = {}, {}, {}
+        self.log = []
+        self.counters = dict(packets_sent=0, bytes_sent=0, bp_stalls=0, bp_spilled_bytes=0,
+                             bp_unspilled_bytes=0, max_resident_bytes=0)
+
+    def put(self, message, size):
+        hop = self.row[message[0]]
+        self.buffers.setdefault(hop, []).append((message, size))
+        if self.cap is not None:
+            pre = self.bytes.get(hop, 0)
+            post = self.bytes[hop] = pre + size + ENVELOPE_HEADER_BYTES
+            over = max(post - self.cap, 0) - max(pre - self.cap, 0)
+            if over:
+                self.spilled[hop] = self.spilled.get(hop, 0) + over
+                self.counters["bp_stalls"] += 1
+                self.counters["bp_spilled_bytes"] += over
+            self.counters["max_resident_bytes"] = max(self.counters["max_resident_bytes"],
+                                                      min(post, self.cap))
+        if len(self.buffers[hop]) == self.agg:
+            self.flush_hop(hop)
+
+    def flush_hop(self, hop):
+        buf = self.buffers.pop(hop)
+        self.bytes.pop(hop, None)
+        self.counters["bp_unspilled_bytes"] += self.spilled.pop(hop, 0)
+        wire = PACKET_HEADER_BYTES + sum(size + ENVELOPE_HEADER_BYTES for _, size in buf)
+        self.log.append((hop, [m for m, _ in buf], wire))
+        self.counters["packets_sent"] += 1
+        self.counters["bytes_sent"] += wire
+
+    def flush(self):
+        for hop in list(self.buffers):
+            self.flush_hop(hop)
+
+
+class TestSegmentPassOracle:
+    """Every batch entry point (send_batch, send_stream, forwarded runs in
+    receive) against per-visitor sends on a twin mailbox: the packets handed
+    to the network, their order, wire bytes, every counter, the flow-control
+    ledger and the spill pager's cursors must match — and match an
+    independent per-message model."""
+
+    @staticmethod
+    def _twin(topo, rank, agg, cap):
+        from repro.memory.device import dram
+        from repro.memory.spill import SpillPager
+
+        twins = []
+        for _ in range(2):
+            net = _RecordingNetwork(topo.num_ranks)
+            pager = SpillPager(page_size=64, device=dram(), cache_pages=2) if cap else None
+            twins.append((net, Mailbox(rank, topo, net, aggregation_size=agg,
+                                       capacity_bytes=cap, spill=pager)))
+        return twins
+
+    @staticmethod
+    def _state(net, box):
+        snap = box.snapshot_state()
+        snap["buffers"] = {h: _messages(b) for h, b in snap.pop("buffers").items()}
+        snap["buffer_order"] = list(box._buffers)
+        snap["local"] = _messages(snap["local"])
+        pager = box.spill.snapshot_state() if box.spill is not None else None
+        return net.log, snap, pager
+
+    @staticmethod
+    def _check_model(model, net, box):
+        from repro.memory.spill import NS_MAILBOX
+
+        assert net.log == model.log
+        assert {k: getattr(box, k) for k in model.counters} == model.counters
+        assert {h: _messages(b) for h, b in box._buffers.items()} == {
+            h: [m for m, _ in b] for h, b in model.buffers.items()
+        }
+        assert list(box._buffers) == list(model.buffers)
+        if box.spill is not None:
+            assert box.spill._write_cursor[NS_MAILBOX] == model.counters["bp_spilled_bytes"]
+            assert box.spill._read_cursor[NS_MAILBOX] == model.counters["bp_unspilled_bytes"]
+
+    @given(
+        topo_name=st.sampled_from(["direct", "2d", "3d"]),
+        rank=st.integers(0, 11),
+        agg=st.integers(1, 20),
+        cap=st.one_of(st.none(), st.integers(1, 80)),
+        ops=_oracle_ops(),
+    )
+    @settings(max_examples=300)
+    def test_matches_per_visitor_sends(self, topo_name, rank, agg, cap, ops):
+        import numpy as np
+
+        from repro.comm.message import Envelope, Packet
+        from repro.comm.routing import make_topology
+        from repro.core.batch import VisitorBatch
+
+        topo = make_topology(topo_name, 12)
+        (net_a, ref), (net_b, box) = self._twin(topo, rank, agg, cap)
+        model = _PerMessageModel(topo, rank, agg, cap)
+        vid = 0
+
+        def visitors(n):
+            nonlocal vid
+            v = np.arange(vid, vid + n)
+            vid += n
+            return VisitorBatch(v, v * 7 % 13)
+
+        def per_message(d, kind, payload, size):
+            ref.send(d, kind, payload, size)
+            if d != rank:
+                model.put(_messages([Envelope(d, kind, payload, size)])[0], size)
+
+        for op in ops:
+            if op[0] == "send":
+                _, d, kind = op
+                size = _VISITOR_BYTES if kind == KIND_VISITOR else _CONTROL_BYTES
+                payload = (vid, 0) if kind == KIND_VISITOR else ("probe", vid)
+                vid += 1
+                per_message(d, kind, payload, size)
+                box.send(d, kind, payload, size)
+            elif op[0] in ("stream", "batch"):
+                dests = op[1] if op[0] == "stream" else [op[1]] * op[2]
+                b = visitors(len(dests))
+                for d, v, p in zip(dests, b.vertices.tolist(), b.payloads.tolist(),
+                                   strict=True):
+                    per_message(d, KIND_VISITOR, (v, p), _VISITOR_BYTES)
+                if op[0] == "stream":
+                    box.send_stream(np.array(dests, dtype=np.int64), b, _VISITOR_BYTES)
+                else:
+                    box.send_batch(op[1], b, _VISITOR_BYTES)
+            elif op[0] == "recv":
+                env_a, env_b = [], []
+                for d, n in op[1]:
+                    if n == 0:
+                        ctl = Envelope(d, KIND_CONTROL, ("reply", vid), _CONTROL_BYTES)
+                        vid += 1
+                        env_a.append(ctl)
+                        env_b.append(ctl)
+                        continue
+                    b = visitors(n)
+                    env_a.extend(
+                        Envelope(d, KIND_VISITOR, (v, p), _VISITOR_BYTES)
+                        for v, p in zip(b.vertices.tolist(), b.payloads.tolist(),
+                                        strict=True)
+                    )
+                    env_b.append(Envelope(d, KIND_VISITOR, b, _VISITOR_BYTES, n))
+                for env in env_a:
+                    if env.dest != rank:
+                        model.put(_messages([env])[0], env.size_bytes)
+                got_a = ref.receive([Packet(src=0, hop_dest=rank, envelopes=env_a)])
+                got_b = box.receive([Packet(src=0, hop_dest=rank, envelopes=env_b)])
+                assert _messages(got_a) == _messages(got_b)
+            else:
+                for m in (ref, box, model):
+                    m.flush()
+            assert self._state(net_a, ref) == self._state(net_b, box)
+            self._check_model(model, net_b, box)
+        for m in (ref, box, model):
+            m.flush()
+        assert self._state(net_a, ref) == self._state(net_b, box)
+        self._check_model(model, net_b, box)

@@ -8,6 +8,7 @@ from repro.comm.routing import (
     DirectTopology,
     Grid2DTopology,
     Grid3DTopology,
+    Topology,
     make_topology,
     max_channels,
     mean_hops,
@@ -155,3 +156,43 @@ def test_all_routes_terminate_property(p, name):
                 route = topo.route(s, d)
                 assert route[-1] == d
                 assert len(route) <= bound
+
+
+class TestNextHopRows:
+    """``next_hops(rank)`` is row ``rank`` of the scalar ``next_hop`` table
+    (the closed forms and the base-class fallback alike)."""
+
+    class _Fallback(Grid2DTopology):
+        """Grid2D routing through the base-class ``next_hops`` loop."""
+
+        next_hops = Topology.next_hops
+
+    @staticmethod
+    def _topologies(p):
+        names = ["direct", "2d", "3d"] + (["hypercube"] if p & (p - 1) == 0 else [])
+        return [make_topology(name, p) for name in names] + [
+            TestNextHopRows._Fallback(p)
+        ]
+
+    @staticmethod
+    def _scalar_row(topo, rank):
+        return [topo.next_hop(rank, d) if d != rank else rank
+                for d in range(topo.num_ranks)]
+
+    @pytest.mark.parametrize("p", [1, 2, 16, 60, 64])
+    def test_every_pair(self, p):
+        for topo in self._topologies(p):
+            for rank in range(p):
+                row = topo.next_hops(rank)
+                assert row.dtype.kind == "i"
+                assert row.tolist() == self._scalar_row(topo, rank), (topo.name, rank)
+
+    def test_sampled_ranks_at_p1024(self):
+        for topo in self._topologies(1024):
+            for rank in (0, 1, 31, 32, 511, 777, 1023):
+                assert topo.next_hops(rank).tolist() == self._scalar_row(topo, rank)
+
+    def test_rank_out_of_range(self):
+        for topo in self._topologies(16):
+            with pytest.raises(RoutingError):
+                topo.next_hops(16)

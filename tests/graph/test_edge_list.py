@@ -108,6 +108,22 @@ class TestDedup:
         el = EdgeList.from_pairs([], num_vertices=3).deduplicated()
         assert el.num_edges == 0
 
+    @staticmethod
+    def _matches_pair_set(pairs, n):
+        el = EdgeList.from_pairs(pairs, num_vertices=n).deduplicated()
+        got = list(zip(el.src.tolist(), el.dst.tolist(), strict=True))
+        assert got == sorted(set(pairs))
+        assert el.sorted_by_src
+
+    @pytest.mark.parametrize("pairs", [[], [(2, 1)], [(1, 3)] * 5])
+    def test_matches_pair_set_edge_cases(self, pairs):
+        self._matches_pair_set(pairs, 4)
+
+    @given(edges_strategy())
+    def test_matches_pair_set(self, el):
+        pairs = list(zip(el.src.tolist(), el.dst.tolist(), strict=True))
+        self._matches_pair_set(pairs, el.num_vertices)
+
 
 class TestSelfLoops:
     def test_removed(self):
