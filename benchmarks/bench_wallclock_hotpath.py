@@ -6,12 +6,10 @@ path, and the batch path under the process-parallel executor
 (``workers=N``), checks that all three produce identical results and
 traversal stats (the batch path's and parallel executor's defining
 contract), and reports the host wall-clock speedups.  The parallel leg
-runs twice — once per IPC transport (the default shared-memory ring, then
-the pickled pipe) — and records the ring's same-host win (``ring_vs_pipe``)
-plus its telemetry (``ipc_frames``, ``ipc_bytes_pickled``,
-``barrier_seconds``); a clean ring run that pickles any tick-barrier bytes
-(``ring_zero_pickle`` false) fails the run like a divergence, because the
-zero-pickle fast path leaked.  Also reports — never
+records its shared-memory ring telemetry (``ipc_frames``,
+``ipc_bytes_pickled``, ``barrier_seconds``); a clean ring run that pickles
+any tick-barrier bytes (``ring_zero_pickle`` false) fails the run like a
+divergence, because the zero-pickle fast path leaked.  Also reports — never
 gates — the reliable-delivery transport's no-fault overhead (host time,
 simulated time and protocol bytes vs the plain fabric) and the
 bounded-mailbox ledger's no-pressure overhead (a cap high enough that
@@ -192,17 +190,9 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
         )
         entry["workers"] = workers
         entry["parallel_seconds"] = round(par_s, 4)
-        # IPC transport columns (INTERNALS §14).  The default parallel leg
-        # runs the shared-memory ring; a second leg re-runs it over the
-        # pickled pipe so the ring's win is recorded as a same-host ratio
-        # (``ring_vs_pipe``), which transfers between machines the way the
-        # object/batch ratio does.  The zero-pickle contract gates below:
-        # a clean ring run (no overflow spills) must move 0 pickled bytes
-        # on tick barriers, or the fast path silently leaked.
-        pipe_s, pipe = _best_of(
-            repeats, lambda: run(graph, source, machine, True,
-                                 workers=workers, ipc="pipe")
-        )
+        # IPC transport columns (INTERNALS §14).  The zero-pickle contract
+        # gates below: a clean ring run (no overflow spills) must move 0
+        # pickled bytes on tick barriers, or the fast path silently leaked.
         entry["ipc_transport"] = par.ipc["transport"]
         entry["ipc_frames"] = par.ipc["frames"]
         entry["ipc_frame_bytes"] = par.ipc["frame_bytes"]
@@ -210,19 +200,8 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
         entry["ipc_tick_bytes_pickled"] = par.ipc["tick_bytes_pickled"]
         entry["ipc_ring_spills"] = par.ipc["ring_spills"]
         entry["barrier_seconds"] = par.ipc["barrier_seconds"]
-        entry["pipe_seconds"] = round(pipe_s, 4)
-        entry["pipe_tick_bytes_pickled"] = pipe.ipc["tick_bytes_pickled"]
-        entry["pipe_barrier_seconds"] = pipe.ipc["barrier_seconds"]
-        entry["ring_vs_pipe"] = round(pipe_s / par_s, 3)
         entry["ring_zero_pickle"] = (
             par.ipc["tick_bytes_pickled"] == 0 or par.ipc["ring_spills"] > 0
-        )
-        entry["pipe_equal"] = (
-            _stats_key(par.stats) == _stats_key(pipe.stats)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(spec["arrays"](par), spec["arrays"](pipe), strict=False)
-            )
         )
         # Host speedup of the parallel executor over the sequential batch
         # path (same kernel, fanned out).  Honest number for *this* host;
@@ -357,9 +336,7 @@ def main(argv: list[str] | None = None) -> int:
                      f"{entry['ipc_transport']}] "
                      f"{entry['parallel_seconds']:.3f}s "
                      f"({hs_txt})   "
-                     f"pipe {entry['pipe_seconds']:.3f}s "
-                     f"(ring {entry['ring_vs_pipe']:.2f}x pipe, "
-                     f"{entry['ipc_frames']} frames, "
+                     f"({entry['ipc_frames']} frames, "
                      f"{entry['ipc_tick_bytes_pickled']} tick B pickled)   "
                      f"supervised {entry['supervised_seconds']:.3f}s "
                      f"({entry['supervised_overhead']:.2f}x parallel)")
@@ -378,10 +355,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"FAIL: {name} supervised mode (no faults) diverged from "
                   f"the plain parallel run at workers={args.workers}",
                   file=sys.stderr)
-            diverged = True
-        if not entry.get("pipe_equal", True):
-            print(f"FAIL: {name} pipe transport diverged from the ring "
-                  f"transport at workers={args.workers}", file=sys.stderr)
             diverged = True
         if not entry.get("ring_zero_pickle", True):
             print(f"FAIL: {name} ring transport pickled "

@@ -106,13 +106,6 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
              "requires fork). Wall-clock only: results, stats and order "
              "digests are bit-identical at any worker count")
     parser.add_argument(
-        "--ipc", choices=("ring", "pipe"), default=None,
-        help="barrier IPC transport for --workers > 1: 'ring' (default) "
-             "ships packet frames through shared-memory rings with zero "
-             "pickled bytes per steady-state batch tick; 'pipe' keeps the "
-             "pickled multiprocessing pipes. Results are bit-identical "
-             "either way")
-    parser.add_argument(
         "--worker-faults", metavar="SPEC", default=None,
         help="inject worker-process failures for the supervision layer, "
              "e.g. 'seed=7,kill=4:1,hang=9:0,exita=6:3,forkfail=1' "
@@ -174,8 +167,6 @@ def _traversal_kwargs(args) -> dict:
     kwargs = dict(machine=_MACHINES[args.machine](), topology=args.topology)
     if args.workers != 1:
         kwargs["workers"] = args.workers
-    if args.ipc is not None:
-        kwargs["ipc"] = args.ipc
     if args.faults:
         kwargs["faults"] = FaultPlan.from_spec(args.faults)
     if args.reliable:

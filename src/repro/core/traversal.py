@@ -29,8 +29,8 @@ class TraversalResult:
     stats: TraversalStats
     #: Host-side barrier IPC telemetry of the parallel executor (frame /
     #: pickled-byte / barrier-wait counters; None at ``workers=1``).
-    #: Deliberately outside ``stats``: it varies with the host and the
-    #: transport while ``stats`` is bit-identical across both.
+    #: Deliberately outside ``stats``: it varies with the host while
+    #: ``stats`` is bit-identical at any worker count.
     ipc: dict | None = None
 
     @property
@@ -51,7 +51,6 @@ def resolve_config(
     storage_faults=None,
     stragglers=None,
     workers: int | None = None,
-    ipc: str | None = None,
     worker_faults=None,
     worker_restarts: int | None = None,
     worker_barrier_timeout: float | None = None,
@@ -71,8 +70,6 @@ def resolve_config(
         overrides["batch"] = batch
     if workers is not None:
         overrides["workers"] = workers
-    if ipc is not None:
-        overrides["ipc_transport"] = ipc
     if faults is not None:
         overrides["faults"] = faults
     if reliable is not None:
@@ -128,7 +125,6 @@ def run_traversal(
     storage_faults=None,
     stragglers=None,
     workers: int | None = None,
-    ipc: str | None = None,
     worker_faults=None,
     worker_restarts: int | None = None,
     worker_barrier_timeout: float | None = None,
@@ -197,11 +193,6 @@ def run_traversal(
         tick loop (1 = sequential).  Wall-clock only: stats, result
         arrays, wire counters and order digests are bit-identical to the
         sequential schedule at any worker count.
-    ipc:
-        Override :attr:`EngineConfig.ipc_transport` — ``"ring"``
-        (shared-memory SoA packet frames, zero pickled bytes on a
-        steady-state batch tick) or ``"pipe"`` (pickled multiprocessing
-        pipes).  Wall-clock only; ignored at ``workers=1``.
     worker_faults:
         Override :attr:`EngineConfig.worker_faults` — a
         :class:`~repro.comm.faults.WorkerFaultPlan` injecting *host*
@@ -257,7 +248,6 @@ def run_traversal(
         storage_faults=storage_faults,
         stragglers=stragglers,
         workers=workers,
-        ipc=ipc,
         worker_faults=worker_faults,
         worker_restarts=worker_restarts,
         worker_barrier_timeout=worker_barrier_timeout,

@@ -119,25 +119,16 @@ class EngineConfig:
     #: ``algorithm.supports_batch``; produces bit-identical states and
     #: traversal stats to the object path, just faster wall-clock.
     batch: bool = False
-    #: Worker processes executing the per-rank tick work.  1 (default) is
-    #: the sequential in-process path; N > 1 fans ``_rank_tick`` out to a
-    #: persistent pool of N forked workers (capped at the rank count) and
-    #: merges packets, counters and spill/cache charges at a deterministic
-    #: per-tick barrier in canonical rank order, so stats, result arrays,
-    #: wire-level transport counters and order digests stay bit-identical
-    #: to the sequential schedule.  Wall-clock only; requires a platform
-    #: with the ``fork`` start method (Linux).
+    #: Worker processes running the ranks.  1 (default) runs them in
+    #: process; N > 1 selects the worker-pool rank executor — a persistent
+    #: pool of N forked workers (capped at the rank count) whose packets,
+    #: counters and spill/cache charges the one tick loop merges at a
+    #: deterministic per-tick barrier in canonical rank order, so stats,
+    #: result arrays, wire-level transport counters and order digests stay
+    #: bit-identical to ``workers=1``.  Batch-mode barriers ride
+    #: shared-memory rings (INTERNALS §14).  Wall-clock only; requires a
+    #: platform with the ``fork`` start method (Linux).
     workers: int = 1
-    #: Barrier IPC transport of the parallel executor (INTERNALS §14).
-    #: ``"ring"`` (default) ships a steady-state batch tick's packets and
-    #: report scalars through per-worker shared-memory SPSC rings as SoA
-    #: frames — zero pickled bytes on the barrier fast path — keeping the
-    #: pipe as the control plane and as the correctness fallback
-    #: (object-path payloads, ring overflow).  ``"pipe"`` keeps every
-    #: barrier reply on the pickled multiprocessing pipe (the PR 6
-    #: transport).  Wall-clock only: results, stats and order digests are
-    #: bit-identical either way; ignored at ``workers=1``.
-    ipc_transport: str = "ring"
     #: Fault plan for the simulated fabric (``repro.comm.faults.FaultPlan``;
     #: None = lossless fabric).  Setting a plan implies reliable delivery.
     faults: object | None = None
@@ -240,11 +231,6 @@ class EngineConfig:
             raise ConfigurationError("aggregation_size must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.ipc_transport not in ("ring", "pipe"):
-            raise ConfigurationError(
-                f"ipc_transport must be 'ring' or 'pipe', "
-                f"got {self.ipc_transport!r}"
-            )
         if self.max_ticks < 1:
             raise ConfigurationError("max_ticks must be >= 1")
         if self.checkpoint_interval < 0:

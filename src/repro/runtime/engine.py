@@ -20,6 +20,7 @@ locality ordering) show up in simulated TEPS.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import signal
@@ -53,14 +54,14 @@ from repro.memory.spill import SpillPager
 from repro.runtime.costmodel import STORAGE_NVRAM, EngineConfig, MachineModel
 from repro.runtime.durability import DurabilityManager
 from repro.runtime.parallel import (
-    ParallelRecoveryManager,
+    PoolRanks,
     WorkerCrash,
     WorkerPool,
-    WorkerSupervisor,
+    finalize_ranks,
 )
 from repro.runtime.pressure import StragglerClock
 from repro.runtime.recovery import RecoveryManager, estimate_checkpoint_bytes
-from repro.runtime.trace import RankCounters, TickSample, TraversalStats
+from repro.runtime.trace import TickSample, TraversalStats
 
 
 class SimulationEngine:
@@ -90,7 +91,8 @@ class SimulationEngine:
             )
 
         #: Effective worker-process count (capped at the rank count); > 1
-        #: routes :meth:`run` through the process-parallel executor.
+        #: makes :meth:`run`'s tick loop drive the worker-pool rank
+        #: executor (:class:`~repro.runtime.parallel.PoolRanks`).
         self.workers = min(self.config.workers, p)
         #: Barrier IPC telemetry from the worker pool (frame / pickled-byte
         #: / barrier-wait counters); stays None at ``workers=1``.
@@ -303,9 +305,48 @@ class SimulationEngine:
             quiet=rank.locally_quiet(),
         )
 
+    def _seed_rank(self, r: int) -> None:
+        """Push rank ``r``'s initial visitors (the in-process executor and
+        the forked workers seed through this one helper)."""
+        if self.batch_mode:
+            seed = self.algorithm.initial_batch(self.graph, r)
+            if seed is not None:
+                self.ranks[r].push_batch(seed)
+        else:
+            for visitor in self.algorithm.initial_visitors(self.graph, r):
+                self.ranks[r].push(visitor)
+
+    @contextlib.contextmanager
+    def _rank_executor(self, resume):
+        """The rank executor :meth:`run`'s tick loop drives: in-process at
+        ``workers=1``, a forked worker pool otherwise (shut down on exit,
+        whatever the outcome)."""
+        if self.workers == 1:
+            yield _InProcessRanks(self, resume)
+            return
+        if resume is not None and resume.recovery is not None:
+            # Worker-local crash-recovery snapshot halves, picked up by
+            # each forked worker at startup (same-epoch invariant: they
+            # match the transplanted parent-side recovery state).
+            self._resume_recovery_snaps = {
+                r: snap
+                for r, snap in enumerate(resume.rank_recovery_snaps)
+                if snap is not None
+            }
+        with WorkerPool(self, seed_ranks=(resume is None)) as pool:
+            yield PoolRanks(self, pool, resume)
+
     # ------------------------------------------------------------------ #
-    def run(self) -> tuple[list[list], TraversalStats]:
-        """Seed, traverse to global quiescence, return (states, stats)."""
+    def run(self) -> tuple[list, TraversalStats]:
+        """Seed, traverse to global quiescence, return (states, stats).
+
+        The one tick loop.  Rank-local work (seeding, ``_rank_tick``, the
+        rank-0 detector wave, flushes, cache/spill epoch drains) goes
+        through the rank executor; everything the parent owns — transport,
+        cost model, recovery, straggler clock, timeline, durable epochs,
+        termination and the post-mortem — runs here once, whatever the
+        executor.
+        """
         p = self.graph.num_partitions
         m = self.machine
         cfg = self.config
@@ -344,300 +385,25 @@ class SimulationEngine:
                 stats = resume.stats
                 cache_base = [tuple(cb) for cb in resume.loop["cache_base"]]
 
-        if self.workers > 1:
-            return self._run_parallel(stats, resume)
-
-        if resume is None:
-            if self.batch_mode:
-                for r in range(p):
-                    seed = self.algorithm.initial_batch(self.graph, r)
-                    if seed is not None:
-                        self.ranks[r].push_batch(seed)
-            else:
-                for r in range(p):
-                    for visitor in self.algorithm.initial_visitors(self.graph, r):
-                        self.ranks[r].push(visitor)
-
-        # Previous / current cumulative counter snapshots for the per-tick
-        # cost deltas, columns: previsits, visits, edges, packets, bytes.
-        prev = np.zeros((p, 5), dtype=np.int64)
-        cur = np.empty((p, 5), dtype=np.int64)
-        # Cumulative backpressure stalls already charged (the mailboxes keep
-        # the ledger; the engine charges per-tick deltas into the clock).
-        bp_prev = np.zeros(p, dtype=np.int64)
-        last_cache_hits = 0
-        last_cache_misses = 0
-        last_bp_stalls = 0
-        if cfg.trace_timeline:
-            last_cache_hits = sum(c.hits for c in self.caches if c is not None)
-            last_cache_misses = sum(c.misses for c in self.caches if c is not None)
-
-        if self.recovery is not None:
-            stats.fault_seed = cfg.faults.seed if cfg.faults is not None else None
-            if resume is None:
-                self.recovery.initial_checkpoint()
-            else:
-                self._apply_resume_recovery(resume)
-        elif self.reliable_mode and cfg.faults is not None:
-            stats.fault_seed = cfg.faults.seed
-
-        ticks = 0
-        time_us = 0.0
-        last_total_visits = 0
-        if resume is not None:
-            loop = resume.loop
-            ticks = loop["ticks"]
-            time_us = loop["time_us"]
-            prev[:] = loop["prev"]
-            bp_prev[:] = loop["bp_prev"]
-            last_total_visits = loop["last_total_visits"]
-            last_cache_hits = loop["last_cache_hits"]
-            last_cache_misses = loop["last_cache_misses"]
-            last_bp_stalls = loop["last_bp_stalls"]
-        while True:
-            t = ticks + 1
-            arrivals = self.network.advance()
-            report = self.network.take_report() if self.reliable_mode else None
-            had_traffic = any(arrivals)
-            control_events = [0] * p
-            for r in self._rank_order:
-                if self.recovery is not None:
-                    self.recovery.log_arrivals(t, r, arrivals[r])
-                control_events[r] = self._rank_tick(r, arrivals[r])
-
-            if self.detectors is not None and not self.detectors[0].terminated:
-                self.detectors[0].maybe_start_wave()
-
-            for r in self._rank_order:
-                self.mailboxes[r].flush()
-
-            if self._record_digests:
-                self._record_order_digest(t)
-
-            checkpoint_costs = None
-            if (
-                self.recovery is not None
-                and t % self._checkpoint_every == 0
-            ):
-                checkpoint_costs = self.recovery.checkpoint(t)
-
-            # ---- charge simulated time ---------------------------------
-            # Vectorized counter-delta bookkeeping.  The expression below is
-            # elementwise and left-associated exactly like a scalar per-rank
-            # formula would be, so each rank's cost is the bit-identical
-            # IEEE double a scalar loop would compute.
-            for r in range(p):
-                c = self.ranks[r].counters
-                mb = self.mailboxes[r]
-                cur[r, 0] = c.previsits
-                cur[r, 1] = c.visits
-                cur[r, 2] = c.edges_scanned
-                cur[r, 3] = mb.packets_sent
-                cur[r, 4] = mb.bytes_sent
-            delta = cur - prev
-            prev[:] = cur
-            costs = (
-                (delta[:, 0] + np.asarray(control_events)) * m.previsit_us
-                + delta[:, 1] * m.visit_us
-                + delta[:, 2] * m.edge_scan_us
-                + delta[:, 3] * m.packet_overhead_us
-                + delta[:, 4] * m.byte_us
-            )
-            for r in range(p):
-                cache = self.caches[r]
-                if cache is not None:
-                    costs[r] += cache.drain_epoch_us(concurrency=cfg.io_concurrency)
-                    self._charge_storage_faults(stats, costs, r, cache)
-                spill = self.spills[r]
-                if spill is not None:
-                    if cfg.queue_spill is not None:
-                        self.ranks[r].sync_spill(spill, cfg.queue_spill)
-                    spill_us = spill.drain_epoch_us(concurrency=cfg.io_concurrency)
-                    if spill_us:
-                        costs[r] += spill_us
-                        stats.spill_io_us += spill_us
-                    self._charge_storage_faults(stats, costs, r, spill.cache)
-                if cfg.mailbox_cap_bytes is not None:
-                    stalls = self.mailboxes[r].bp_stalls
-                    bp_delta = stalls - bp_prev[r]
-                    bp_prev[r] = stalls
-                    if bp_delta:
-                        charge = bp_delta * m.credit_stall_us
-                        costs[r] += charge
-                        stats.backpressure_stall_us += charge
-            if report is not None:
-                # Reliability tax and recovery time, kept out of the logical
-                # counters: retransmissions and standalone acks pay packet
-                # overhead, all protocol bytes pay wire cost, restarted
-                # ranks pay their restore + replay time.
-                for r in range(p):
-                    extra = (
-                        (report.retrans_packets[r] + report.ack_packets[r])
-                        * m.packet_overhead_us
-                        + (report.retrans_bytes[r] + report.overhead_bytes[r])
-                        * m.byte_us
-                        + report.recovery_us[r]
-                    )
-                    if extra:
-                        costs[r] += extra
-                self._accumulate_report(stats, report)
-            if checkpoint_costs is not None:
-                costs += checkpoint_costs
-            # Durable epoch cost, estimated *after* every rank's flush and
-            # spill sync (the parallel workers read the same post-sync
-            # queue lengths rank-locally, so workers=1 and workers=N charge
-            # the bit-identical durable I/O into the simulated clock).
-            durable_costs = None
-            if self.durable is not None and self.durable.due(t):
-                durable_costs = self.durable.epoch_costs(
-                    [estimate_checkpoint_bytes(self, r) for r in range(p)]
-                )
-                costs += durable_costs
-            if self.straggler is not None:
-                tick_cost = self.straggler.tick_cost(costs)
-                tick_floor = self.straggler.pacing_floor(m.min_tick_us)
-            else:
-                tick_cost = float(costs.max())
-                tick_floor = m.min_tick_us
-            tick_time = max(tick_cost, tick_floor)
-            if had_traffic or not self.network.idle():
-                hops = 1 if report is None else max(1, report.data_latency)
-                tick_time = max(tick_time, m.hop_latency_us * hops)
-            time_us += tick_time
-            ticks += 1
-
+        with self._rank_executor(resume) as ex:
+            # Previous / current cumulative counter snapshots for the
+            # per-tick cost deltas, columns: previsits, visits, edges,
+            # packets, bytes.
+            prev = np.zeros((p, 5), dtype=np.int64)
+            cur = np.empty((p, 5), dtype=np.int64)
+            # Cumulative backpressure stalls already charged (the mailboxes
+            # keep the ledger; the loop charges per-tick deltas).
+            bp_prev = np.zeros(p, dtype=np.int64)
+            last_cache_hits = 0
+            last_cache_misses = 0
+            last_bp_stalls = 0
             if cfg.trace_timeline:
-                visits_now = sum(rk.counters.visits for rk in self.ranks)
-                hits_now = sum(c.hits for c in self.caches if c is not None)
-                misses_now = sum(c.misses for c in self.caches if c is not None)
-                bp_now = sum(mb.bp_stalls for mb in self.mailboxes)
-                stats.timeline.append(
-                    TickSample(
-                        tick=ticks,
-                        time_us=time_us,
-                        queued_visitors=sum(rk.queue_length() for rk in self.ranks),
-                        packets_in_flight=self.network.packets_in_flight(),
-                        visits_this_tick=visits_now - last_total_visits,
-                        retransmits=(
-                            sum(report.retrans_packets) if report is not None else 0
-                        ),
-                        faults=(
-                            report.dropped + report.duplicated + report.delayed
-                            if report is not None
-                            else 0
-                        ),
-                        recoveries=(
-                            len(report.recovered) if report is not None else 0
-                        ),
-                        cache_hits=hits_now - last_cache_hits,
-                        cache_misses=misses_now - last_cache_misses,
-                        bp_stalls=bp_now - last_bp_stalls,
-                    )
-                )
-                last_total_visits = visits_now
-                last_cache_hits = hits_now
-                last_cache_misses = misses_now
-                last_bp_stalls = bp_now
-
-            if durable_costs is not None:
-                self.durable.write_epoch(
-                    ticks,
-                    {
-                        "ticks": ticks,
-                        "time_us": time_us,
-                        "prev": prev.copy(),
-                        "bp_prev": bp_prev.copy(),
-                        "last_total_visits": last_total_visits,
-                        "last_cache_hits": last_cache_hits,
-                        "last_cache_misses": last_cache_misses,
-                        "last_bp_stalls": last_bp_stalls,
-                        "cache_base": list(cache_base),
-                    },
-                    stats,
-                )
-            if cfg.kill_at_tick is not None and ticks == cfg.kill_at_tick:
-                # Crash-restart harness hook: die hard *after* this tick's
-                # epoch (if any) committed, like a host power loss.
-                os.kill(os.getpid(), signal.SIGKILL)
-
-            # ---- stop? -------------------------------------------------
-            if self.detectors is not None:
-                if all(d.terminated for d in self.detectors):
-                    self._assert_truly_done()
-                    break
-            else:
-                if self._oracle_done():
-                    break
-            if ticks >= cfg.max_ticks:
-                # Attach the partial stats so a stalled run can be
-                # post-mortemed (per-rank counters, tick count, timeline).
-                self._finalize_stats(stats, ticks, time_us, cache_base)
-                raise TraversalError(
-                    f"traversal exceeded max_ticks={cfg.max_ticks} "
-                    f"(queued visitors: {[rk.queue_length() for rk in self.ranks]})",
-                    stats=stats,
-                )
-
-        self._finalize_stats(stats, ticks, time_us, cache_base)
-        return [rank.states for rank in self.ranks], stats
-
-    # ------------------------------------------------------------------ #
-    def _run_parallel(
-        self, stats: TraversalStats, resume=None
-    ) -> tuple[list, TraversalStats]:
-        """The tick loop with per-rank work fanned out to a forked worker
-        pool (:mod:`repro.runtime.parallel`).
-
-        Structured as the sequential loop with every rank-local step
-        replaced by its barrier report: the parent replays worker packet
-        buckets into the real network in the sequential global send order,
-        folds counter deltas and spill/cache charges in ascending rank
-        order with the same float-addition order, and keeps everything it
-        owns sequentially (transport, cost model, straggler clock,
-        recovery logs, digests, stats) — which is what makes ``workers=N``
-        bit-identical to ``workers=1``.
-
-        Every barrier goes through a :class:`WorkerSupervisor`: inactive
-        (the default) it is a thin pass-through that fails fast on the
-        first worker loss; active (``worker_restarts``/``worker_faults``)
-        it respawns-and-replays failed workers and degrades gracefully to
-        in-process execution when the budget runs out — see INTERNALS §12.
-        """
-        p = self.graph.num_partitions
-        m = self.machine
-        cfg = self.config
-        reports: dict | None = None
-        ticks = 0
-        time_us = 0.0
-        resume_tick = 0
-        if resume is not None:
-            resume_tick = resume.loop["ticks"]
-            if resume.recovery is not None:
-                # Worker-local crash-recovery snapshot halves, picked up by
-                # each forked worker at startup (same-epoch invariant: they
-                # match the transplanted parent-side recovery state).
-                self._resume_recovery_snaps = {
-                    r: snap
-                    for r, snap in enumerate(resume.rank_recovery_snaps)
-                    if snap is not None
-                }
-        with WorkerPool(self, seed_ranks=(resume is None)) as pool:
-            supervisor = WorkerSupervisor(self, pool)
-            # Seed-phase packets, replayed in natural rank order — exactly
-            # where the sequential path's seeding eager-flushes land.  A
-            # resumed pool sends bare readies (the restored network already
-            # carries every in-flight packet).
-            seed_packets = supervisor.start()
-            for r in range(p):
-                for pkt in seed_packets.get(r, ()):
-                    self.network.send_packet(pkt)
+                # Seeding already ran; a pool's parent-side caches are the
+                # cold fork-time copies (warm caches need workers=1).
+                last_cache_hits = sum(c.hits for c in self.caches if c is not None)
+                last_cache_misses = sum(c.misses for c in self.caches if c is not None)
 
             if self.recovery is not None:
-                # Swap in the process-aware coordinator: snapshots and
-                # replay execute in the owning worker, the parent keeps the
-                # transport snapshots, logs and cost accounting.
-                self.recovery = ParallelRecoveryManager(self, supervisor)
-                self.network.recovery = self.recovery
                 stats.fault_seed = cfg.faults.seed if cfg.faults is not None else None
                 if resume is None:
                     self.recovery.initial_checkpoint()
@@ -645,38 +411,20 @@ class SimulationEngine:
                     self._apply_resume_recovery(resume)
             elif self.reliable_mode and cfg.faults is not None:
                 stats.fault_seed = cfg.faults.seed
-            if resume is None:
-                # Tick-0 supervision images when no recovery manager drives
-                # checkpoints (no-op if the initial checkpoint shipped them).
-                supervisor.prime()
-            else:
-                supervisor.note_completed(resume_tick)
-                if supervisor.active and self.recovery is None:
-                    # Fresh supervision images at the resume tick (safe:
-                    # there are no recorded simulated recoveries to align
-                    # with).  With a transplanted recovery manager we must
-                    # NOT re-image — images and worker recovery snaps have
-                    # to come from the same epoch — so worker self-healing
-                    # resumes at the next recovery checkpoint instead.
-                    supervisor.checkpoint(resume_tick)
 
-            prev = np.zeros((p, 5), dtype=np.int64)
-            cur = np.empty((p, 5), dtype=np.int64)
-            bp_prev = np.zeros(p, dtype=np.int64)
+            ticks = 0
+            time_us = 0.0
             last_total_visits = 0
-            last_cache_hits = 0
-            last_cache_misses = 0
-            last_bp_stalls = 0
             if resume is not None:
-                ticks = resume_tick
-                time_us = resume.loop["time_us"]
-                prev[:] = resume.loop["prev"]
-                bp_prev[:] = resume.loop["bp_prev"]
-                last_total_visits = resume.loop["last_total_visits"]
-                last_cache_hits = resume.loop["last_cache_hits"]
-                last_cache_misses = resume.loop["last_cache_misses"]
-                last_bp_stalls = resume.loop["last_bp_stalls"]
-
+                loop = resume.loop
+                ticks = loop["ticks"]
+                time_us = loop["time_us"]
+                prev[:] = loop["prev"]
+                bp_prev[:] = loop["bp_prev"]
+                last_total_visits = loop["last_total_visits"]
+                last_cache_hits = loop["last_cache_hits"]
+                last_cache_misses = loop["last_cache_misses"]
+                last_bp_stalls = loop["last_bp_stalls"]
             try:
                 while True:
                     t = ticks + 1
@@ -686,31 +434,10 @@ class SimulationEngine:
                     if self.recovery is not None:
                         for r in self._rank_order:
                             self.recovery.log_arrivals(t, r, arrivals[r])
-
-                    reports, wave_packets = supervisor.tick(t, arrivals)
-                    # Deterministic barrier merge: the sequential global
-                    # send order is per-rank phase A, the rank-0 wave, then
-                    # per-rank phase B, each in ``_rank_order``.
-                    for r in self._rank_order:
-                        for pkt in reports[r].packets_a:
-                            self.network.send_packet(pkt)
-                    for pkt in wave_packets:
-                        self.network.send_packet(pkt)
-                    for r in self._rank_order:
-                        for pkt in reports[r].packets_b:
-                            self.network.send_packet(pkt)
+                    control_events = ex.tick(t, arrivals)
 
                     if self._record_digests:
-                        self._fold_order_digest(
-                            t,
-                            [reports[r].counters[:5] for r in range(p)],
-                            [reports[r].probe or () for r in range(p)],
-                        )
-
-                    # Tick t's barrier is complete: a worker failure from
-                    # here on (including during the checkpoint below) must
-                    # replay *through* t, not t-1.
-                    supervisor.note_completed(t)
+                        self._fold_order_digest(t, *ex.digest_rows())
 
                     checkpoint_costs = None
                     if (
@@ -718,16 +445,14 @@ class SimulationEngine:
                         and t % self._checkpoint_every == 0
                     ):
                         checkpoint_costs = self.recovery.checkpoint(t)
-                    supervisor.maybe_checkpoint(t)
 
-                    control_events = [reports[r].controls for r in range(p)]
-                    for r in range(p):
-                        cnt = reports[r].counters
-                        cur[r, 0] = cnt[0]
-                        cur[r, 1] = cnt[1]
-                        cur[r, 2] = cnt[2]
-                        cur[r, 3] = cnt[5]
-                        cur[r, 4] = cnt[6]
+                    # ---- charge simulated time -------------------------
+                    # Vectorized counter-delta bookkeeping.  The expression
+                    # below is elementwise and left-associated exactly like
+                    # a scalar per-rank formula would be, so each rank's
+                    # cost is the bit-identical IEEE double a scalar loop
+                    # would compute.
+                    ex.gather_counters(cur)
                     delta = cur - prev
                     prev[:] = cur
                     costs = (
@@ -738,23 +463,30 @@ class SimulationEngine:
                         + delta[:, 4] * m.byte_us
                     )
                     for r in range(p):
-                        rep = reports[r]
                         if self.caches[r] is not None:
-                            costs[r] += rep.cache_us
-                            self._charge_fault_record(stats, costs, r, rep.cache_faults)
+                            cache_us, faults = ex.cache_epoch(r)
+                            costs[r] += cache_us
+                            self._charge_storage_faults(stats, costs, r, faults)
                         if self.spills[r] is not None:
-                            if rep.spill_us:
-                                costs[r] += rep.spill_us
-                                stats.spill_io_us += rep.spill_us
-                            self._charge_fault_record(stats, costs, r, rep.spill_faults)
+                            spill_us, faults = ex.spill_epoch(r)
+                            if spill_us:
+                                costs[r] += spill_us
+                                stats.spill_io_us += spill_us
+                            self._charge_storage_faults(stats, costs, r, faults)
                         if cfg.mailbox_cap_bytes is not None:
-                            bp_delta = rep.bp_stalls - bp_prev[r]
-                            bp_prev[r] = rep.bp_stalls
+                            stalls = ex.bp_stalls(r)
+                            bp_delta = stalls - bp_prev[r]
+                            bp_prev[r] = stalls
                             if bp_delta:
                                 charge = bp_delta * m.credit_stall_us
                                 costs[r] += charge
                                 stats.backpressure_stall_us += charge
                     if report is not None:
+                        # Reliability tax and recovery time, kept out of the
+                        # logical counters: retransmissions and standalone
+                        # acks pay packet overhead, all protocol bytes pay
+                        # wire cost, restarted ranks pay their restore +
+                        # replay time.
                         for r in range(p):
                             extra = (
                                 (report.retrans_packets[r] + report.ack_packets[r])
@@ -768,14 +500,11 @@ class SimulationEngine:
                         self._accumulate_report(stats, report)
                     if checkpoint_costs is not None:
                         costs += checkpoint_costs
-                    # Durable epoch cost from the workers' rank-local
-                    # estimates (the parent's fork-time rank state is
-                    # stale; see RankTickReport.ckpt_bytes).
+                    # Durable epoch cost, from rank-local estimates taken
+                    # after every rank's flush and spill sync.
                     durable_costs = None
                     if self.durable is not None and self.durable.due(t):
-                        durable_costs = self.durable.epoch_costs(
-                            [reports[r].ckpt_bytes for r in range(p)]
-                        )
+                        durable_costs = self.durable.epoch_costs(ex.ckpt_bytes())
                         costs += durable_costs
                     if self.straggler is not None:
                         tick_cost = self.straggler.tick_cost(costs)
@@ -791,17 +520,14 @@ class SimulationEngine:
                     ticks += 1
 
                     if cfg.trace_timeline:
-                        visits_now = sum(reports[r].counters[1] for r in range(p))
-                        hits_now = sum(reports[r].cache_hits for r in range(p))
-                        misses_now = sum(reports[r].cache_misses for r in range(p))
-                        bp_now = sum(reports[r].bp_stalls for r in range(p))
+                        visits_now, hits_now, misses_now, bp_now, queued = (
+                            ex.timeline_totals()
+                        )
                         stats.timeline.append(
                             TickSample(
                                 tick=ticks,
                                 time_us=time_us,
-                                queued_visitors=sum(
-                                    reports[r].queue_len for r in range(p)
-                                ),
+                                queued_visitors=queued,
                                 packets_in_flight=self.network.packets_in_flight(),
                                 visits_this_tick=visits_now - last_total_visits,
                                 retransmits=(
@@ -810,8 +536,7 @@ class SimulationEngine:
                                     else 0
                                 ),
                                 faults=(
-                                    report.dropped + report.duplicated
-                                    + report.delayed
+                                    report.dropped + report.duplicated + report.delayed
                                     if report is not None
                                     else 0
                                 ),
@@ -829,11 +554,8 @@ class SimulationEngine:
                         last_bp_stalls = bp_now
 
                     if durable_costs is not None:
-                        # Captured after note_completed / this tick's
-                        # checkpoints, so the shipped recovery snaps are
-                        # current.  Workers collect their own ranks'
-                        # sections; parallel runs never carry a warm cache
-                        # base (caller caches are rejected with workers>1).
+                        # Captured after this tick's checkpoints, so the
+                        # recovery snaps in the rank sections are current.
                         self.durable.write_epoch(
                             ticks,
                             {
@@ -845,79 +567,49 @@ class SimulationEngine:
                                 "last_cache_hits": last_cache_hits,
                                 "last_cache_misses": last_cache_misses,
                                 "last_bp_stalls": last_bp_stalls,
-                                "cache_base": [(0, 0, 0)] * p,
+                                "cache_base": list(cache_base),
                             },
                             stats,
-                            rank_sections=supervisor.durable_capture(),
+                            rank_sections=ex.durable_sections(),
                         )
                     if cfg.kill_at_tick is not None and ticks == cfg.kill_at_tick:
+                        # Crash-restart harness hook: die hard *after* this
+                        # tick's epoch (if any) committed, like a host power
+                        # loss.
                         os.kill(os.getpid(), signal.SIGKILL)
 
-                    # ---- stop? ---------------------------------------- #
+                    # ---- stop? -----------------------------------------
                     if self.detectors is not None:
-                        if all(reports[r].terminated for r in range(p)):
-                            self._assert_truly_done_parallel(reports)
+                        if ex.all_terminated():
+                            self._assert_truly_done(ex)
                             break
-                    else:
-                        if (
-                            self.network.idle()
-                            and all(reports[r].quiet for r in range(p))
-                            and not any(reports[r].buffered for r in range(p))
-                        ):
-                            break
+                    elif self._oracle_done(ex):
+                        break
                     if ticks >= cfg.max_ticks:
-                        self._finalize_stats_parallel(stats, ticks, time_us, supervisor)
+                        # Attach the partial stats so a stalled run can be
+                        # post-mortemed (per-rank counters, tick count,
+                        # timeline).
+                        self._finalize_stats(stats, ticks, time_us, cache_base, ex, ex.final())
                         raise TraversalError(
                             f"traversal exceeded max_ticks={cfg.max_ticks} "
-                            f"(queued visitors: "
-                            f"{[reports[r].queue_len for r in range(p)]})",
+                            f"(queued visitors: {ex.queue_lengths()})",
                             stats=stats,
                         )
+                states = self._finalize_stats(
+                    stats, ticks, time_us, cache_base, ex, ex.final()
+                )
             except WorkerCrash as crash:
-                # First-class worker failure the supervisor could not (or
-                # was not allowed to) heal: partial stats from the last
-                # barrier, wrapped exactly like the max_ticks post-mortem.
-                self._attach_partial_stats(stats, ticks, time_us, reports)
-                self._fold_supervision_stats(stats, supervisor)
+                # A worker failure the supervisor could not (or was not
+                # allowed to) heal: partial stats from the last barrier,
+                # wrapped like the max_ticks post-mortem.
+                self._finalize_stats(
+                    stats, ticks, time_us, cache_base, ex, ex.last_barrier()
+                )
                 raise TraversalError(
                     f"parallel worker failed after {ticks} ticks: {crash}",
                     stats=stats,
                 ) from crash
-
-            states = self._finalize_stats_parallel(stats, ticks, time_us, supervisor)
-            self.ipc_counters = pool.ipc_counters()
-            return states, stats
-
-    def _finalize_stats_parallel(
-        self,
-        stats: TraversalStats,
-        ticks: int,
-        time_us: float,
-        supervisor: WorkerSupervisor,
-    ) -> list:
-        """Parallel twin of :meth:`_finalize_stats`: counters come from the
-        workers' finalize barrier; batch states are read zero-copy from the
-        shared arenas, object states are pickled back once."""
-        counters, states_by_rank, waves = supervisor.finalize()
-        p = self.graph.num_partitions
-        for r in range(p):
-            stats.ranks.append(counters[r])
-        stats.ticks = ticks
-        stats.time_us = time_us
-        if self.detectors is not None and waves is not None:
-            stats.termination_waves = waves
-        if self.recovery is not None:
-            stats.checkpoints_taken = self.recovery.checkpoints_taken
-            stats.checkpoint_bytes = self.recovery.checkpoint_bytes
-        if self.straggler is not None:
-            stats.straggler_stall_us = self.straggler.stall_us
-            stats.rebalanced_us = self.straggler.rebalanced_us
-            stats.max_slowdown = float(self.straggler.max_slowdown)
-        self._fold_supervision_stats(stats, supervisor)
-        stats.order_digest = self._order_digest_hex()
-        if self.batch_mode:
-            return [rank.states for rank in self.ranks]
-        return [states_by_rank[r] for r in range(p)]
+        return states, stats
 
     def _apply_resume_recovery(self, resume) -> None:
         """Transplant a durable epoch's in-memory recovery state.
@@ -958,54 +650,6 @@ class SimulationEngine:
             h.update(d)
         return h.hexdigest()
 
-    @staticmethod
-    def _fold_supervision_stats(
-        stats: TraversalStats, supervisor: WorkerSupervisor
-    ) -> None:
-        """Surface the supervisor's own activity (excluded from the chaos
-        bit-identity contract via ``SUPERVISION_STATS_FIELDS``)."""
-        stats.worker_crashes = supervisor.worker_crashes
-        stats.worker_hangs = supervisor.worker_hangs
-        stats.worker_respawns = supervisor.worker_respawns
-        stats.worker_replayed_ticks = supervisor.worker_replayed_ticks
-        stats.degraded_ranks = supervisor.degraded_ranks
-        stats.supervision_us = supervisor.supervision_us
-
-    def _attach_partial_stats(
-        self, stats: TraversalStats, ticks: int, time_us: float, reports: dict | None
-    ) -> None:
-        """Post-mortem counters for a run killed by a worker failure,
-        reconstructed from the last completed barrier."""
-        if reports is not None and not stats.ranks:
-            for r in range(self.graph.num_partitions):
-                cnt = reports[r].counters
-                stats.ranks.append(
-                    RankCounters(
-                        visits=cnt[1],
-                        previsits=cnt[0],
-                        pushes=cnt[3],
-                        ghost_filtered=cnt[4],
-                        edges_scanned=cnt[2],
-                        visitors_sent=cnt[7],
-                        visitors_received=cnt[8],
-                        packets_sent=cnt[5],
-                        bytes_sent=cnt[6],
-                        bp_stalls=reports[r].bp_stalls,
-                    )
-                )
-        stats.ticks = ticks
-        stats.time_us = time_us
-
-    def _assert_truly_done_parallel(self, reports: dict) -> None:
-        """:meth:`_assert_truly_done` over the barrier reports."""
-        p = self.graph.num_partitions
-        if not all(reports[r].quiet for r in range(p)):
-            raise TerminationError("detector fired with visitors still queued")
-        if any(reports[r].buffered_visitors for r in range(p)):
-            raise TerminationError("detector fired with visitors buffered")
-        if self.network.visitor_envelopes_in_flight():
-            raise TerminationError("detector fired with visitors in flight")
-
     # ------------------------------------------------------------------ #
     def _rank_tick(self, r: int, packets: list) -> int:
         """One rank's slice of a tick: drain arrivals, run visitors.
@@ -1029,31 +673,17 @@ class SimulationEngine:
         self.ranks[r].process(self.config.visitor_budget)
         return controls
 
-    def _record_order_digest(self, tick: int) -> None:
+    def _fold_order_digest(self, tick, rows, probes) -> None:
         """Fold one tick's observable visitor-application order into digests.
 
-        Each rank's digest covers (tick, rank, counter deltas, the sequence
-        of vertices whose visitors ran this tick); the tick digest folds the
-        per-rank digests in rank-id order, so it is identical for any two
-        schedules that produce the same per-rank behaviour — exactly the
-        invariant the race detector checks.
+        ``rows`` are the ranks' cumulative (previsits, visits, edges,
+        pushes, ghost_filtered) counters and ``probes`` the sequences of
+        vertices whose visitors ran this tick, both from the rank executor.
+        Each rank's digest covers (tick, rank, counter deltas, probe); the
+        tick digest folds the per-rank digests in rank-id order, so it is
+        identical for any two schedules that produce the same per-rank
+        behaviour — exactly the invariant the race detector checks.
         """
-        rows: list[tuple[int, int, int, int, int]] = []
-        probes: list[tuple[int, ...]] = []
-        for r in range(self.graph.num_partitions):
-            c = self.ranks[r].counters
-            rows.append((c.previsits, c.visits, c.edges_scanned, c.pushes,
-                         c.ghost_filtered))
-            probe = self.ranks[r].order_probe
-            probes.append(tuple(probe))
-            if probe:
-                probe.clear()
-        self._fold_order_digest(tick, rows, probes)
-
-    def _fold_order_digest(self, tick, rows, probes) -> None:
-        """Digest fold shared by the sequential and parallel paths: the
-        parallel barrier feeds it the worker-reported counter rows and
-        drained probe sequences, producing bit-identical digests."""
         rank_digests: list[bytes] = []
         for r in range(self.graph.num_partitions):
             cur = rows[r]
@@ -1073,7 +703,7 @@ class SimulationEngine:
         self.tick_digests.append(tick_h.digest())
         self.tick_rank_digests.append(tuple(rank_digests))
 
-    def _charge_storage_faults(self, stats, costs, r: int, cache) -> None:
+    def _charge_storage_faults(self, stats, costs, r: int, faults) -> None:
         """Fold one cache's epoch fault record into the run stats; escalate
         permanent read failures to the recovery manager (or fail the run).
 
@@ -1081,11 +711,6 @@ class SimulationEngine:
         drain cost; this accumulates the observability counters and charges
         the replicated-store re-fetch for pages the device gave up on.
         """
-        self._charge_fault_record(stats, costs, r, cache.last_epoch_faults)
-
-    def _charge_fault_record(self, stats, costs, r: int, faults) -> None:
-        """:meth:`_charge_storage_faults` body over an explicit epoch fault
-        record (the parallel barrier ships records, not caches)."""
         if faults is None:
             return
         stats.storage_retries += faults.retries
@@ -1112,21 +737,23 @@ class SimulationEngine:
         ticks: int,
         time_us: float,
         cache_base: list[tuple[int, int, int]],
-    ) -> None:
-        """Fold per-rank counters (and recovery totals) into ``stats``."""
-        for r in range(self.graph.num_partitions):
-            rank = self.ranks[r]
-            rank.sync_mailbox_counters()
-            cache = self.caches[r]
-            if cache is not None:
-                rank.counters.cache_hits = cache.hits - cache_base[r][0]
-                rank.counters.cache_misses = cache.misses - cache_base[r][1]
-                rank.counters.cache_evictions = cache.evictions - cache_base[r][2]
-            stats.ranks.append(rank.counters)
+        ex,
+        final: tuple,
+    ) -> list | None:
+        """Fold the executor's per-rank counters (``final`` is its
+        ``(counters, waves, states)``) and the parent's totals into
+        ``stats``; returns the states."""
+        counters, waves, states = final
+        for r, c in enumerate(counters):
+            if self.caches[r] is not None:
+                c.cache_hits -= cache_base[r][0]
+                c.cache_misses -= cache_base[r][1]
+                c.cache_evictions -= cache_base[r][2]
+            stats.ranks.append(c)
         stats.ticks = ticks
         stats.time_us = time_us
-        if self.detectors is not None:
-            stats.termination_waves = self.detectors[0].waves_participated
+        if waves is not None:
+            stats.termination_waves = waves
         if self.recovery is not None:
             stats.checkpoints_taken = self.recovery.checkpoints_taken
             stats.checkpoint_bytes = self.recovery.checkpoint_bytes
@@ -1134,7 +761,9 @@ class SimulationEngine:
             stats.straggler_stall_us = self.straggler.stall_us
             stats.rebalanced_us = self.straggler.rebalanced_us
             stats.max_slowdown = float(self.straggler.max_slowdown)
+        ex.fold_stats(stats)
         stats.order_digest = self._order_digest_hex()
+        return states
 
     @staticmethod
     def _accumulate_report(stats: TraversalStats, report) -> None:
@@ -1155,15 +784,11 @@ class SimulationEngine:
         stats.recovery_us += sum(report.recovery_us)
 
     # ------------------------------------------------------------------ #
-    def _oracle_done(self) -> bool:
+    def _oracle_done(self, ex) -> bool:
         """Omniscient global-emptiness check (engine-internal)."""
-        return (
-            self.network.idle()
-            and all(rk.locally_quiet() for rk in self.ranks)
-            and not any(mb.has_buffered() for mb in self.mailboxes)
-        )
+        return self.network.idle() and ex.all_quiet() and not ex.any_buffered()
 
-    def _assert_truly_done(self) -> None:
+    def _assert_truly_done(self, ex) -> None:
         """Cross-check the detector against global truth.
 
         The counting quiescence protocol must never announce termination
@@ -1171,9 +796,118 @@ class SimulationEngine:
         lean on.  Control traffic may still be in flight (the termination
         broadcast itself), so only visitor work is checked.
         """
-        if not all(rk.locally_quiet() for rk in self.ranks):
+        if not ex.all_quiet():
             raise TerminationError("detector fired with visitors still queued")
-        if any(mb.buffered_visitor_count() for mb in self.mailboxes):
+        if ex.any_buffered_visitors():
             raise TerminationError("detector fired with visitors buffered")
         if self.network.visitor_envelopes_in_flight():
             raise TerminationError("detector fired with visitors in flight")
+
+
+class _InProcessRanks:
+    """The ``workers=1`` rank executor of :meth:`SimulationEngine.run`.
+
+    Ranks run in this process and their packets go straight to the
+    engine's network.  Every answer is read lazily from the live rank,
+    mailbox and cache objects; nothing is built per rank per tick that
+    the loop does not ask for.
+    """
+
+    def __init__(self, engine: SimulationEngine, resume) -> None:
+        self.engine = engine
+        if resume is None:
+            for r in range(engine.graph.num_partitions):
+                engine._seed_rank(r)
+
+    def tick(self, t: int, arrivals: list[list]) -> list[int]:
+        eng = self.engine
+        controls = [0] * len(eng.ranks)
+        for r in eng._rank_order:
+            controls[r] = eng._rank_tick(r, arrivals[r])
+        if eng.detectors is not None and not eng.detectors[0].terminated:
+            eng.detectors[0].maybe_start_wave()
+        for r in eng._rank_order:
+            eng.mailboxes[r].flush()
+        return controls
+
+    def gather_counters(self, cur: np.ndarray) -> None:
+        eng = self.engine
+        for r, rank in enumerate(eng.ranks):
+            c = rank.counters
+            mb = eng.mailboxes[r]
+            cur[r, 0] = c.previsits
+            cur[r, 1] = c.visits
+            cur[r, 2] = c.edges_scanned
+            cur[r, 3] = mb.packets_sent
+            cur[r, 4] = mb.bytes_sent
+
+    def cache_epoch(self, r: int) -> tuple[float, object | None]:
+        cache = self.engine.caches[r]
+        us = cache.drain_epoch_us(concurrency=self.engine.config.io_concurrency)
+        return us, cache.last_epoch_faults
+
+    def spill_epoch(self, r: int) -> tuple[float, object | None]:
+        eng = self.engine
+        cfg = eng.config
+        spill = eng.spills[r]
+        if cfg.queue_spill is not None:
+            eng.ranks[r].sync_spill(spill, cfg.queue_spill)
+        us = spill.drain_epoch_us(concurrency=cfg.io_concurrency)
+        return us, spill.cache.last_epoch_faults
+
+    def bp_stalls(self, r: int) -> int:
+        return self.engine.mailboxes[r].bp_stalls
+
+    def digest_rows(self) -> tuple[list, list]:
+        rows = []
+        probes = []
+        for rank in self.engine.ranks:
+            c = rank.counters
+            rows.append((c.previsits, c.visits, c.edges_scanned, c.pushes,
+                         c.ghost_filtered))
+            probe = rank.order_probe
+            probes.append(tuple(probe))
+            if probe:
+                probe.clear()
+        return rows, probes
+
+    def ckpt_bytes(self) -> list[int]:
+        eng = self.engine
+        return [estimate_checkpoint_bytes(eng, r) for r in range(len(eng.ranks))]
+
+    def timeline_totals(self) -> tuple[int, int, int, int, int]:
+        eng = self.engine
+        caches = [c for c in eng.caches if c is not None]
+        return (
+            sum(rk.counters.visits for rk in eng.ranks),
+            sum(c.hits for c in caches),
+            sum(c.misses for c in caches),
+            sum(mb.bp_stalls for mb in eng.mailboxes),
+            sum(rk.queue_length() for rk in eng.ranks),
+        )
+
+    def all_terminated(self) -> bool:
+        return all(d.terminated for d in self.engine.detectors)
+
+    def all_quiet(self) -> bool:
+        return all(rk.locally_quiet() for rk in self.engine.ranks)
+
+    def any_buffered(self) -> bool:
+        return any(mb.has_buffered() for mb in self.engine.mailboxes)
+
+    def any_buffered_visitors(self) -> bool:
+        return any(mb.buffered_visitor_count() for mb in self.engine.mailboxes)
+
+    def queue_lengths(self) -> list[int]:
+        return [rk.queue_length() for rk in self.engine.ranks]
+
+    def durable_sections(self) -> None:
+        return None  # the durability manager collects the live ranks
+
+    def final(self) -> tuple[list, int | None, list]:
+        eng = self.engine
+        counters, _, waves = finalize_ranks(eng, range(len(eng.ranks)))
+        return list(counters.values()), waves, [rk.states for rk in eng.ranks]
+
+    def fold_stats(self, stats: TraversalStats) -> None:
+        pass

@@ -1,9 +1,10 @@
 """Process-parallel rank execution with deterministic barriers.
 
-``EngineConfig.workers = N`` fans the per-rank work of each tick —
-``SimulationEngine._rank_tick``, detector waves, mailbox flushes,
-cache/spill epoch drains — out to a persistent pool of forked worker
-processes, one fork per :meth:`SimulationEngine.run`.  The contract is the
+``EngineConfig.workers = N`` makes :class:`PoolRanks` the rank executor
+of :meth:`SimulationEngine.run`'s one tick loop: the per-rank work of
+each tick — ``SimulationEngine._rank_tick``, detector waves, mailbox
+flushes, cache/spill epoch drains — runs in a persistent pool of forked
+worker processes, one fork per run.  The contract is the
 one the race detector polices: within a tick, rank ``r`` touches only rank
 ``r``'s queue, mailbox, ghost table, caches and detector, and the only
 cross-rank traffic is mailbox packets.  That makes rank execution
@@ -117,8 +118,16 @@ from repro.runtime.packet_codec import (
     encode_ints,
     encode_packets,
 )
-from repro.runtime.recovery import RecoveryManager, estimate_checkpoint_bytes
+from repro.runtime.recovery import (
+    RecoveryManager,
+    counter_snapshot,
+    estimate_checkpoint_bytes,
+    replay_price_us,
+    replay_ticks,
+    restore_rank_snapshot,
+)
 from repro.runtime.shm_ring import RingIntegrityError, SpscRing
+from repro.runtime.trace import RankCounters, TraversalStats
 from repro.utils.rng import resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -126,6 +135,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ParallelRecoveryManager",
+    "PoolRanks",
     "RankTickReport",
     "WorkerCrash",
     "WorkerPool",
@@ -166,14 +176,21 @@ class _StubNetwork:
         return out
 
 
+#: The :class:`~repro.runtime.trace.RankCounters` fields a barrier report
+#: carries, in ``RankTickReport.counters`` order.
+REPORT_COUNTERS = (
+    "previsits", "visits", "edges_scanned", "pushes", "ghost_filtered",
+    "packets_sent", "bytes_sent", "visitors_sent", "visitors_received",
+)
+
+
 @dataclass(slots=True)
 class RankTickReport:
     """One rank's barrier contribution for one tick (worker -> parent)."""
 
     #: control envelopes handled (charged like pre-visits).
     controls: int
-    #: cumulative (previsits, visits, edges_scanned, pushes, ghost_filtered,
-    #: packets_sent, bytes_sent, visitors_sent, visitors_received).
+    #: cumulative counters, one per :data:`REPORT_COUNTERS` name.
     counters: tuple[int, int, int, int, int, int, int, int, int]
     #: packets emitted during ``_rank_tick`` (mid-tick eager flushes).
     packets_a: list[Packet]
@@ -244,22 +261,16 @@ def _frame_tag(channel: int, rank: int = 0) -> int:
 
 #: Shared counters-table layout: one row per rank, fixed columns, so the
 #: scalar half of a :class:`RankTickReport` crosses the process boundary
-#: as plain stores into a shared arena (zero pickled bytes).
-_TBL_I64_COLS = 19
-_TI_CONTROLS = 0
-_TI_COUNTERS_LO, _TI_COUNTERS_HI = 1, 10  # the cumulative 9-tuple
-_TI_BP_STALLS = 10
-_TI_CACHE_HITS = 11
-_TI_CACHE_MISSES = 12
-_TI_QUEUE_LEN = 13
-_TI_QUIET = 14
-_TI_BUFFERED = 15
-_TI_BUFFERED_VISITORS = 16
-_TI_TERMINATED = 17
-_TI_CKPT_BYTES = 18
-_TBL_F64_COLS = 2
-_TF_CACHE_US = 0
-_TF_SPILL_US = 1
+#: as plain stores into a shared arena (zero pickled bytes).  The int64
+#: columns are ``controls``, the :data:`REPORT_COUNTERS`, then these
+#: fields; the float64 columns are ``cache_us`` and ``spill_us``.
+_TABLE_INTS = (
+    "bp_stalls", "cache_hits", "cache_misses", "queue_len", "quiet",
+    "buffered", "buffered_visitors", "terminated", "ckpt_bytes",
+)
+_TABLE_BOOLS = ("quiet", "buffered", "terminated")
+_TI_EXTRA = 1 + len(REPORT_COUNTERS)
+_TBL_I64_COLS = _TI_EXTRA + len(_TABLE_INTS)
 
 
 @dataclass
@@ -325,19 +336,10 @@ def _store_report_scalars(links: _RingLinks, r: int, rep: RankTickReport) -> Non
     """Write the scalar half of one rank's report into its shared
     counters-table row (the parent reads it back after the OK token)."""
     row = links.table_i[r]
-    row[_TI_CONTROLS] = rep.controls
-    row[_TI_COUNTERS_LO:_TI_COUNTERS_HI] = rep.counters
-    row[_TI_BP_STALLS] = rep.bp_stalls
-    row[_TI_CACHE_HITS] = rep.cache_hits
-    row[_TI_CACHE_MISSES] = rep.cache_misses
-    row[_TI_QUEUE_LEN] = rep.queue_len
-    row[_TI_QUIET] = int(rep.quiet)
-    row[_TI_BUFFERED] = int(rep.buffered)
-    row[_TI_BUFFERED_VISITORS] = rep.buffered_visitors
-    row[_TI_TERMINATED] = int(rep.terminated)
-    row[_TI_CKPT_BYTES] = rep.ckpt_bytes
-    links.table_f[r, _TF_CACHE_US] = rep.cache_us
-    links.table_f[r, _TF_SPILL_US] = rep.spill_us
+    row[0] = rep.controls
+    row[1:_TI_EXTRA] = rep.counters
+    row[_TI_EXTRA:] = [int(getattr(rep, name)) for name in _TABLE_INTS]
+    links.table_f[r] = (rep.cache_us, rep.spill_us)
 
 
 def _ship_tick_ring(conn, links: _RingLinks, out) -> None:
@@ -372,7 +374,7 @@ def _ship_tick_ring(conn, links: _RingLinks, out) -> None:
         if need > links.tx.free():
             frames = None
     if frames is None:
-        # Whole-tick spill: the pickled residue is the exact pipe-mode
+        # Whole-tick spill: the pickled residue is the exact pickled-pipe
         # reply, so the parent replays it bit-identically.
         conn.send_bytes(_OK_TOKEN.pack(_TAG_TOKEN, _TOK_OK, 0, _OK_RESIDUE))
         _send_obj(conn, ("ok", {"spill": out}))
@@ -415,7 +417,6 @@ def _worker_main(
         stub = _StubNetwork()
         for r in owned:
             engine.mailboxes[r].network = stub
-        owned_set = frozenset(owned)
         snaps: dict[int, dict] = {}
         # Durable resume: the parent transplanted each rank's recovery
         # snapshot half before forking; adopt the owned ones so a later
@@ -431,13 +432,7 @@ def _worker_main(
             # in natural rank order before the first tick.
             seed_packets: dict[int, list[Packet]] = {}
             for r in owned:
-                if engine.batch_mode:
-                    seed = engine.algorithm.initial_batch(engine.graph, r)
-                    if seed is not None:
-                        engine.ranks[r].push_batch(seed)
-                else:
-                    for visitor in engine.algorithm.initial_visitors(engine.graph, r):
-                        engine.ranks[r].push(visitor)
+                engine._seed_rank(r)
                 seed_packets[r] = stub.take()
             _send_obj(conn, ("ready", seed_packets))
         else:
@@ -460,35 +455,27 @@ def _worker_main(
                 _, op, t, n_frames, dcode = _TICK_TOKEN.unpack(msg)
                 if op != _TOK_TICK:  # pragma: no cover - protocol guard
                     raise RuntimeError(f"unknown worker token op {op}")
-                inject = _DIRECTIVE_NAMES[dcode]
-                if inject == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
                 arrivals: dict[int, list[Packet]] = {}
                 for _ in range(n_frames):
                     tag, payload = links.rx.read()
                     arrivals[tag & 0xFFFF] = decode_packets(payload)
-                out = _worker_tick(
-                    engine, stub, owned, owned_set, arrivals,
-                    exit_mid_phase_a=(inject == "exita"),
-                )
-                if inject == "hang":
-                    while True:  # hang *before* the barrier reply
-                        time.sleep(1.0)
-                _ship_tick_ring(conn, links, out)
-                continue
+                msg = ("tick", arrivals, _DIRECTIVE_NAMES[dcode])
             cmd = msg[0]
             if cmd == "tick":
                 inject = msg[2]
                 if inject == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 out = _worker_tick(
-                    engine, stub, owned, owned_set, msg[1],
+                    engine, stub, owned, msg[1],
                     exit_mid_phase_a=(inject == "exita"),
                 )
                 if inject == "hang":
                     while True:  # hang *before* the barrier reply
                         time.sleep(1.0)
-                _send_obj(conn, ("ok", out))
+                if kind == "tok":
+                    _ship_tick_ring(conn, links, out)
+                else:
+                    _send_obj(conn, ("ok", out))
             elif cmd == "checkpoint":
                 _send_obj(
                     conn, ("ok", _worker_checkpoint(engine, owned, snaps, ship=msg[1]))
@@ -500,7 +487,7 @@ def _worker_main(
             elif cmd == "durable":
                 _send_obj(conn, ("ok", _worker_durable(engine, owned, snaps)))
             elif cmd == "finalize":
-                _send_obj(conn, ("ok", _worker_finalize(engine, owned, owned_set)))
+                _send_obj(conn, ("ok", finalize_ranks(engine, owned)))
             elif cmd == "stop":
                 break
             else:  # pragma: no cover - protocol guard
@@ -518,7 +505,6 @@ def _worker_tick(
     engine: "SimulationEngine",
     stub: _StubNetwork,
     owned: list[int],
-    owned_set: frozenset,
     arrivals: dict[int, list[Packet]],
     *,
     exit_mid_phase_a: bool = False,
@@ -526,6 +512,7 @@ def _worker_tick(
     """One tick's owned-rank work: phase A, wave (rank-0 owner), phase B,
     then the per-rank epoch drains and termination inputs."""
     cfg = engine.config
+    owned_set = frozenset(owned)
     order = [r for r in engine._rank_order if r in owned_set]
     controls: dict[int, int] = {}
     packets_a: dict[int, list[Packet]] = {}
@@ -641,23 +628,6 @@ def _worker_checkpoint(
     return out, images
 
 
-def _supervision_counters(
-    engine: "SimulationEngine", owned: list[int]
-) -> tuple[int, int, int, int, int]:
-    """Summed cumulative (previsits, visits, edges, packets, bytes) over
-    ``owned`` — the before/after pair supervision replay is priced from."""
-    pv = vi = es = ps = bs = 0
-    for r in owned:
-        c = engine.ranks[r].counters
-        mb = engine.mailboxes[r]
-        pv += c.previsits
-        vi += c.visits
-        es += c.edges_scanned
-        ps += mb.packets_sent
-        bs += mb.bytes_sent
-    return (pv, vi, es, ps, bs)
-
-
 def _adopt_images(
     engine: "SimulationEngine",
     stub: _StubNetwork,
@@ -685,7 +655,6 @@ def _adopt_images(
     """
     cfg = engine.config
     owned = sorted(images)
-    owned_set = frozenset(owned)
     for r in owned:
         engine.mailboxes[r].network = stub
         img = images[r]
@@ -693,40 +662,36 @@ def _adopt_images(
             engine.spills[r].restore_state(img["spill"])
         if "cache" in img:
             engine.caches[r].restore_state(img["cache"])
-        engine.ranks[r].restore_state(img["queue"])
+        restore_rank_snapshot(engine, r, img)
         engine.ranks[r].spill_ledger = img["spilled_visitors"]
-        engine.mailboxes[r].restore_state(img["mailbox"])
-        if engine.detectors is not None:
-            engine.detectors[r].restore_state(img["detector"])
         snaps[r] = {k: img[k] for k in ("queue", "mailbox", "detector") if k in img}
-    c0 = _supervision_counters(engine, owned)
-    order = [r for r in engine._rank_order if r in owned_set]
-    detectors = engine.detectors
-    controls = 0
-    replayed = 0
-    for t in range(epoch_tick + 1, upto_tick + 1):
+    c0 = counter_snapshot(engine, owned)
+    order = [r for r in engine._rank_order if r in images]
+    recovered = 0
+
+    def rerun_recoveries(t: int) -> None:
+        # A recorded simulated recovery ran *before* its crash tick's work
+        # (the transport detects the crash while delivering the tick's
+        # arrivals); outputs are discarded, only the counter residue
+        # matters.
+        nonlocal recovered
         for r in order:
             for crash_tick, ep, lg in recoveries.get(r, ()):
                 if crash_tick == t:
-                    # The simulated recovery ran *before* this tick's work
-                    # (the transport detects the crash while delivering the
-                    # tick's arrivals); outputs are discarded, only the
-                    # counter residue matters.
-                    out = _worker_replay(engine, stub, snaps, r, ep, t, lg)
-                    replayed += out[4]
-        for r in order:
-            controls += engine._rank_tick(r, list(logs.get(r, {}).get(t, ())))
-            stub.take()
-        if 0 in owned_set and detectors is not None and not detectors[0].terminated:
-            detectors[0].maybe_start_wave()
-            stub.take()
-        for r in order:
-            engine.mailboxes[r].flush()
-            spill = engine.spills[r]
-            if spill is not None and cfg.queue_spill is not None:
-                engine.ranks[r].sync_spill(spill, cfg.queue_spill)
-            stub.take()
-        replayed += 1
+                    recovered += _worker_replay(engine, stub, snaps, r, ep, t, lg)[4]
+
+    def discard(t: int) -> None:
+        if cfg.queue_spill is not None:
+            for r in order:
+                if engine.spills[r] is not None:
+                    engine.ranks[r].sync_spill(engine.spills[r], cfg.queue_spill)
+        stub.take()
+
+    controls, replayed = replay_ticks(
+        engine, order, epoch_tick + 1, upto_tick,
+        lambda r, t: logs.get(r, {}).get(t, ()),
+        before=rerun_recoveries, after=discard,
+    )
     for r in owned:
         # Throw the replay's epoch accumulators away in one drain — the
         # original barriers already charged these epochs, and draining
@@ -737,7 +702,7 @@ def _adopt_images(
             engine.spills[r].drain_epoch_us(concurrency=cfg.io_concurrency)
         if engine._record_digests and engine.ranks[r].order_probe is not None:
             engine.ranks[r].order_probe.clear()
-    return c0, _supervision_counters(engine, owned), controls, replayed
+    return c0, counter_snapshot(engine, owned), controls, replayed + recovered
 
 
 def _worker_replay(
@@ -759,30 +724,15 @@ def _worker_replay(
             f"rank {r} crashed at tick {crash_tick} with no worker-side "
             f"checkpoint to restore"
         )
-    engine.ranks[r].restore_state(snap["queue"])
-    engine.mailboxes[r].restore_state(snap["mailbox"])
-    if engine.detectors is not None:
-        engine.detectors[r].restore_state(snap["detector"])
-
-    def counter_tuple() -> tuple[int, int, int, int, int]:
-        c = engine.ranks[r].counters
-        mb = engine.mailboxes[r]
-        return (c.previsits, c.visits, c.edges_scanned, mb.packets_sent, mb.bytes_sent)
-
-    c0 = counter_tuple()
-    controls = 0
-    replayed = 0
+    restore_rank_snapshot(engine, r, snap)
+    c0 = counter_snapshot(engine, (r,))
     per_tick_packets: list[list[Packet]] = []
-    detectors = engine.detectors
-    for t in range(epoch_tick + 1, crash_tick):
-        packets = log.get(t, [])
-        controls += engine._rank_tick(r, list(packets))
-        if r == 0 and detectors is not None and not detectors[0].terminated:
-            detectors[0].maybe_start_wave()
-        engine.mailboxes[r].flush()
-        per_tick_packets.append(stub.take())
-        replayed += 1
-    return per_tick_packets, c0, counter_tuple(), controls, replayed
+    controls, replayed = replay_ticks(
+        engine, (r,), epoch_tick + 1, crash_tick - 1,
+        lambda _r, t: log.get(t, ()),
+        after=lambda t: per_tick_packets.append(stub.take()),
+    )
+    return per_tick_packets, c0, counter_snapshot(engine, (r,)), controls, replayed
 
 
 def _worker_durable(
@@ -797,11 +747,13 @@ def _worker_durable(
     }
 
 
-def _worker_finalize(
-    engine: "SimulationEngine", owned: list[int], owned_set: frozenset
+def finalize_ranks(
+    engine: "SimulationEngine", owned
 ) -> tuple[dict, dict, int | None]:
-    """End-of-run accounting for the owned ranks: sync mailbox counters,
-    fold cache totals, ship the counters (and object-path states)."""
+    """End-of-run accounting for the ``owned`` ranks: sync mailbox
+    counters, fold absolute cache totals, return the counters, the
+    object-path states and (when rank 0 is owned) the detector's wave
+    count."""
     counters: dict[int, object] = {}
     states: dict[int, object] = {}
     for r in owned:
@@ -816,7 +768,7 @@ def _worker_finalize(
         if not engine.batch_mode:
             states[r] = rank.states
     waves = None
-    if 0 in owned_set and engine.detectors is not None:
+    if 0 in owned and engine.detectors is not None:
         waves = engine.detectors[0].waves_participated
     return counters, states, waves
 
@@ -867,11 +819,9 @@ class WorkerPool:
                     self.blocks.append(block)
 
         #: Zero-pickle barrier transport (INTERNALS §14).  Only the batch
-        #: path emits frameable payloads, so the object path silently
-        #: stays on the pickled pipes whatever the config says.
-        self.use_ring: bool = (
-            engine.config.ipc_transport == "ring" and engine.batch_mode
-        )
+        #: path emits frameable payloads, so the object path stays on the
+        #: pickled pipes.
+        self.use_ring: bool = engine.batch_mode
         self.rings_tx: list[SpscRing] = []  # worker -> parent
         self.rings_rx: list[SpscRing] = []  # parent -> worker
         self._links: list[_RingLinks | None] = []
@@ -882,7 +832,7 @@ class WorkerPool:
             self._table_block = SharedArrayBlock(
                 [
                     ("i64", np.zeros((p, _TBL_I64_COLS), dtype=np.int64)),
-                    ("f64", np.zeros((p, _TBL_F64_COLS), dtype=np.float64)),
+                    ("f64", np.zeros((p, 2), dtype=np.float64)),
                 ]
             )
             self._table_i = self._table_block.view("i64")
@@ -939,14 +889,12 @@ class WorkerPool:
     def _who(self, i: int) -> str:
         return f"worker {i} (ranks {self.owned[i]})"
 
-    def send(self, i: int, message: tuple, *, tick: bool = False) -> None:
-        """Send one pickled command to worker ``i`` (protocol 5, columns
-        and images as out-of-band buffers); a dead pipe raises a
+    def _send_raw(self, i: int, write):
+        """``write(conn)`` on worker ``i``'s pipe; a dead pipe raises a
         structured :class:`~repro.errors.WorkerCrash` instead of leaking
-        ``BrokenPipeError``.  ``tick`` marks barrier tick traffic for the
-        zero-pickle telemetry."""
+        ``BrokenPipeError``."""
         try:
-            n = _send_obj(self._conns[i], message)
+            return write(self._conns[i])
         except (BrokenPipeError, OSError, ValueError) as exc:
             self.alive[i] = False
             raise WorkerCrash(
@@ -954,6 +902,14 @@ class WorkerPool:
                 worker=i, ranks=self.owned[i], kind="crash",
                 exitcode=self._procs[i].exitcode,
             ) from exc
+
+    def send(self, i: int, message: tuple, *, tick: bool = False) -> None:
+        """Send one pickled command to worker ``i`` (protocol 5, columns
+        and images as out-of-band buffers); a dead pipe raises a
+        structured :class:`~repro.errors.WorkerCrash` instead of leaking
+        ``BrokenPipeError``.  ``tick`` marks barrier tick traffic for the
+        zero-pickle telemetry."""
+        n = self._send_raw(i, lambda conn: _send_obj(conn, message))
         self.ipc_bytes_pickled += n
         if tick:
             self.ipc_tick_bytes_pickled += n
@@ -993,15 +949,7 @@ class WorkerPool:
                     _TAG_TOKEN, _TOK_TICK, t, len(frames),
                     _DIRECTIVE_CODES[directive],
                 )
-                try:
-                    self._conns[i].send_bytes(token)
-                except (BrokenPipeError, OSError, ValueError) as exc:
-                    self.alive[i] = False
-                    raise WorkerCrash(
-                        f"{self._who(i)} is gone (send failed: {exc})",
-                        worker=i, ranks=self.owned[i], kind="crash",
-                        exitcode=self._procs[i].exitcode,
-                    ) from exc
+                self._send_raw(i, lambda conn: conn.send_bytes(token))
                 return
             self.ipc_ring_spills += 1
         self.send(i, ("tick", arrivals, directive), tick=True)
@@ -1090,7 +1038,7 @@ class WorkerPool:
                     residue = obj[1]
                 if residue is not None and "spill" in residue:
                     # Whole-tick ring spill: the residue is the exact
-                    # pipe-mode reply.
+                    # pickled-pipe reply.
                     self.ipc_ring_spills += 1
                     return residue["spill"]
                 faults = residue.get("faults") if residue is not None else None
@@ -1145,30 +1093,23 @@ class WorkerPool:
             faults = {}
         reports: dict[int, RankTickReport] = {}
         for r in self.owned[i]:
-            row = self._table_i[r]
-            frow = self._table_f[r]
+            row = self._table_i[r].tolist()
+            cache_us, spill_us = self._table_f[r].tolist()
             cache_faults, spill_faults = faults.get(r, (None, None))
+            fields = dict(zip(_TABLE_INTS, row[_TI_EXTRA:], strict=True))
+            for name in _TABLE_BOOLS:
+                fields[name] = bool(fields[name])
             reports[r] = RankTickReport(
-                controls=int(row[_TI_CONTROLS]),
-                counters=tuple(  # type: ignore[arg-type]
-                    int(v) for v in row[_TI_COUNTERS_LO:_TI_COUNTERS_HI]
-                ),
+                controls=row[0],
+                counters=tuple(row[1:_TI_EXTRA]),  # type: ignore[arg-type]
                 packets_a=packets_a.get(r, []),
                 packets_b=packets_b.get(r, []),
-                cache_us=float(frow[_TF_CACHE_US]),
+                cache_us=cache_us,
                 cache_faults=cache_faults,
-                spill_us=float(frow[_TF_SPILL_US]),
+                spill_us=spill_us,
                 spill_faults=spill_faults,
-                bp_stalls=int(row[_TI_BP_STALLS]),
-                cache_hits=int(row[_TI_CACHE_HITS]),
-                cache_misses=int(row[_TI_CACHE_MISSES]),
-                queue_len=int(row[_TI_QUEUE_LEN]),
-                quiet=bool(row[_TI_QUIET]),
-                buffered=bool(row[_TI_BUFFERED]),
-                buffered_visitors=int(row[_TI_BUFFERED_VISITORS]),
-                terminated=bool(row[_TI_TERMINATED]),
                 probe=probes.get(r),
-                ckpt_bytes=int(row[_TI_CKPT_BYTES]),
+                **fields,
             )
         return reports, wave
 
@@ -1322,7 +1263,6 @@ class WorkerSupervisor:
         #: stub for parent-absorbed ranks (degraded mode).
         self._stub = _StubNetwork()
         self._absorbed: list[int] = []
-        self._absorbed_set: frozenset[int] = frozenset()
         self._parent_snaps: dict[int, dict] = {}
         # supervision stats, folded into TraversalStats at finalize
         self.worker_crashes = 0
@@ -1346,13 +1286,6 @@ class WorkerSupervisor:
         for i in range(self.pool.num_workers):
             seed.update(self.pool.recv(i, self.timeout))
         return seed
-
-    def prime(self) -> None:
-        """Take the tick-0 supervision images when no recovery manager
-        will drive checkpoints (``engine.recovery`` handles it otherwise,
-        through :class:`ParallelRecoveryManager`)."""
-        if self.active and self.engine.recovery is None:
-            self.checkpoint(0)
 
     def note_completed(self, t: int) -> None:
         """Advance the completed-tick watermark.  Must run *before* tick
@@ -1383,75 +1316,85 @@ class WorkerSupervisor:
         directives = self._tick_directives(t)
         deadline = self._tick_deadline(arrivals)
 
-        reports: dict[int, RankTickReport] = {}
-        wave: list[Packet] = []
-        if self._absorbed:
-            sub = {r: arrivals[r] for r in self._absorbed if arrivals[r]}
-            out, wave_packets = _worker_tick(
-                self.engine, self._stub, self._absorbed, self._absorbed_set, sub
-            )
-            reports.update(out)
-            if wave_packets:
-                wave = wave_packets
+        def owned_arrivals(ranks):
+            return {r: arrivals[r] for r in ranks if arrivals[r]}
 
+        def local(ranks):
+            return _worker_tick(self.engine, self._stub, ranks, owned_arrivals(ranks))
+
+        outs = []
+        if self._absorbed:
+            outs.append(local(self._absorbed))
         send_failures: dict[int, WorkerCrash] = {}
         for i in range(pool.num_workers):
             if self._retired[i]:
                 continue
-            sub = {r: arrivals[r] for r in pool.owned[i] if arrivals[r]}
             try:
-                pool.send_tick(i, t, sub, directives.get(i))
+                pool.send_tick(i, t, owned_arrivals(pool.owned[i]), directives.get(i))
             except WorkerCrash as crash:
                 send_failures[i] = crash
         for i in range(pool.num_workers):
             if self._retired[i]:
                 continue
             crash = send_failures.get(i)
-            out = None
             if crash is None:
                 try:
-                    out = pool.recv(i, deadline, tick=True)
+                    outs.append(pool.recv(i, deadline, tick=True))
+                    continue
                 except WorkerCrash as exc:
                     crash = exc
-            if crash is not None:
-                out = self._handle_failure(
-                    i, crash, self._tick_retry_msg(i, arrivals), deadline,
-                    lambda i=i: self._parent_tick(i, arrivals),
-                )
-            out_reports, wave_packets = out
+            # The retried command drops the directive: an injected fault
+            # fires once.
+            outs.append(self._handle_failure(
+                i, crash, ("tick", owned_arrivals(pool.owned[i]), None), deadline,
+                lambda i=i: local(pool.owned[i]),
+            ))
+        reports: dict[int, RankTickReport] = {}
+        wave: list[Packet] = []
+        for out_reports, wave_packets in outs:
             reports.update(out_reports)
             if wave_packets:
                 wave = wave_packets
         return reports, wave
+
+    def _gather(self, msg: tuple, local_fn) -> list:
+        """Run one control command on every live worker and, through
+        ``local_fn(ranks)``, on the parent's absorbed ranks; a failed
+        worker is healed (or absorbed and served by ``local_fn``).
+        Returns the replies."""
+        pool = self.pool
+        outs = []
+        if self._absorbed:
+            outs.append(local_fn(self._absorbed))
+        for i in range(pool.num_workers):
+            if self._retired[i]:
+                continue
+            try:
+                pool.send(i, msg)
+                out = pool.recv(i, self.timeout)
+            except WorkerCrash as crash:
+                out = self._handle_failure(
+                    i, crash, msg, self.timeout,
+                    lambda i=i: local_fn(pool.owned[i]),
+                )
+            outs.append(out)
+        return outs
 
     def checkpoint(self, tick: int) -> dict[int, int]:
         """All live workers (and the parent, for absorbed ranks) snapshot
         their ranks; with supervision active the full images are shipped
         and become the new restore epoch.  Returns simulated bytes by
         rank."""
-        pool = self.pool
         ship = self.active
         merged: dict[int, int] = {}
         images: dict[int, dict] = {}
-        if self._absorbed:
-            part, imgs = _worker_checkpoint(
-                self.engine, self._absorbed, self._parent_snaps, ship=ship
-            )
-            merged.update(part)
-            if imgs:
-                images.update(imgs)
-        for i in range(pool.num_workers):
-            if self._retired[i]:
-                continue
-            try:
-                pool.send(i, ("checkpoint", ship))
-                out = pool.recv(i, self.timeout)
-            except WorkerCrash as crash:
-                out = self._handle_failure(
-                    i, crash, ("checkpoint", ship), self.timeout,
-                    lambda i=i: self._parent_checkpoint(i, ship),
-                )
-            part, imgs = out
+        outs = self._gather(
+            ("checkpoint", ship),
+            lambda ranks: _worker_checkpoint(
+                self.engine, ranks, self._parent_snaps, ship=ship
+            ),
+        )
+        for part, imgs in outs:
             merged.update(part)
             if imgs:
                 images.update(imgs)
@@ -1477,11 +1420,14 @@ class WorkerSupervisor:
         re-run it — see :func:`_adopt_images`."""
         if self.active:
             self._recoveries[r].append((crash_tick, epoch_tick, dict(log)))
-        if r in self._absorbed_set:
+        def local():
             return _worker_replay(
                 self.engine, self._stub, self._parent_snaps,
                 r, epoch_tick, crash_tick, log,
             )
+
+        if r in self._absorbed:
+            return local()
         i = self.pool.owner[r]
         msg = ("replay", r, epoch_tick, crash_tick, log)
         deadline = None
@@ -1491,13 +1437,7 @@ class WorkerSupervisor:
             self.pool.send(i, msg)
             return self.pool.recv(i, deadline)
         except WorkerCrash as crash:
-            return self._handle_failure(
-                i, crash, msg, deadline,
-                lambda: _worker_replay(
-                    self.engine, self._stub, self._parent_snaps,
-                    r, epoch_tick, crash_tick, log,
-                ),
-            )
+            return self._handle_failure(i, crash, msg, deadline, local)
 
     def finalize(self) -> tuple[dict, dict, int | None]:
         """Gather final counters (and object-path states) from all live
@@ -1505,26 +1445,10 @@ class WorkerSupervisor:
         counters: dict[int, object] = {}
         states: dict[int, object] = {}
         waves: int | None = None
-        if self._absorbed:
-            part_c, part_s, part_w = _worker_finalize(
-                self.engine, self._absorbed, self._absorbed_set
-            )
-            counters.update(part_c)
-            states.update(part_s)
-            if part_w is not None:
-                waves = part_w
-        for i in range(self.pool.num_workers):
-            if self._retired[i]:
-                continue
-            try:
-                self.pool.send(i, ("finalize",))
-                out = self.pool.recv(i, self.timeout)
-            except WorkerCrash as crash:
-                out = self._handle_failure(
-                    i, crash, ("finalize",), self.timeout,
-                    lambda i=i: self._parent_finalize(i),
-                )
-            part_c, part_s, part_w = out
+        outs = self._gather(
+            ("finalize",), lambda ranks: finalize_ranks(self.engine, ranks)
+        )
+        for part_c, part_s, part_w in outs:
             counters.update(part_c)
             states.update(part_s)
             if part_w is not None:
@@ -1538,25 +1462,12 @@ class WorkerSupervisor:
         Runs at the same barrier position as the sequential collection —
         after the tick's flush/drain, before the stop checks — so the
         captured state is bit-identical to a ``workers=1`` epoch."""
-        pool = self.pool
         sections: dict[int, dict] = {}
-        if self._absorbed:
-            sections.update(
-                _worker_durable(self.engine, self._absorbed, self._parent_snaps)
-            )
-        for i in range(pool.num_workers):
-            if self._retired[i]:
-                continue
-            try:
-                pool.send(i, ("durable",))
-                out = pool.recv(i, self.timeout)
-            except WorkerCrash as crash:
-                out = self._handle_failure(
-                    i, crash, ("durable",), self.timeout,
-                    lambda i=i: _worker_durable(
-                        self.engine, pool.owned[i], self._parent_snaps
-                    ),
-                )
+        outs = self._gather(
+            ("durable",),
+            lambda ranks: _worker_durable(self.engine, ranks, self._parent_snaps),
+        )
+        for out in outs:
             sections.update(out)
         return [sections[r] for r in range(self.engine.graph.num_partitions)]
 
@@ -1596,19 +1507,24 @@ class WorkerSupervisor:
         self._absorb(i)
         return parent_fn()
 
+    def _restore_args(self, owned: list[int]) -> tuple:
+        """``_adopt_images`` arguments for ``owned``: the epoch images,
+        epoch and completed ticks, arrival logs and recorded recoveries."""
+        return (
+            {r: self._images[r] for r in owned},
+            self._epoch_tick,
+            self._completed_tick,
+            {r: self._log[r] for r in owned},
+            {r: list(self._recoveries[r]) for r in owned},
+        )
+
     def _restore_worker(self, i: int) -> None:
         """Ship the epoch images + logs + recorded recoveries to the
         freshly respawned worker ``i`` and wait for its replay to the
         completed-tick watermark."""
         pool = self.pool
         owned = pool.owned[i]
-        images = {r: self._images[r] for r in owned}
-        logs = {r: self._log[r] for r in owned}
-        recov = {r: list(self._recoveries[r]) for r in owned}
-        pool.send(
-            i,
-            ("restore", images, self._epoch_tick, self._completed_tick, logs, recov),
-        )
+        pool.send(i, ("restore", *self._restore_args(owned)))
         deadline = None
         if self.timeout is not None:
             deadline = self.timeout * max(1, self._completed_tick - self._epoch_tick)
@@ -1622,34 +1538,13 @@ class WorkerSupervisor:
         pool.kill(i)
         self._retired[i] = True
         owned = pool.owned[i]
-        images = {r: self._images[r] for r in owned}
-        logs = {r: self._log[r] for r in owned}
-        recov = {r: list(self._recoveries[r]) for r in owned}
         out = _adopt_images(
-            self.engine, self._stub, images, self._epoch_tick,
-            self._completed_tick, logs, recov, snaps=self._parent_snaps,
+            self.engine, self._stub, *self._restore_args(owned),
+            snaps=self._parent_snaps,
         )
         self._price_recovery(owned, *out)
-        absorbed = self._absorbed_set | frozenset(owned)
-        self._absorbed_set = absorbed
+        absorbed = frozenset(self._absorbed) | frozenset(owned)
         self._absorbed = [r for r in self.engine._rank_order if r in absorbed]
-
-    # -------------------------------------------------------------- #
-    # Parent-side fallbacks (degraded mode)
-    # -------------------------------------------------------------- #
-    def _parent_tick(self, i: int, arrivals: list[list[Packet]]):
-        owned = self.pool.owned[i]
-        sub = {r: arrivals[r] for r in owned if arrivals[r]}
-        return _worker_tick(self.engine, self._stub, owned, frozenset(owned), sub)
-
-    def _parent_checkpoint(self, i: int, ship: bool):
-        return _worker_checkpoint(
-            self.engine, self.pool.owned[i], self._parent_snaps, ship=ship
-        )
-
-    def _parent_finalize(self, i: int):
-        owned = self.pool.owned[i]
-        return _worker_finalize(self.engine, owned, frozenset(owned))
 
     # -------------------------------------------------------------- #
     # Bookkeeping
@@ -1669,17 +1564,9 @@ class WorkerSupervisor:
         """Charge one restore-and-replay through the machine model into
         ``supervision_us`` (never ``time_us`` — the simulated cluster
         never failed, this is the host-failure what-if price tag)."""
-        m = self.engine.machine
-        compute_us = (
-            (c1[0] - c0[0] + controls) * m.previsit_us
-            + (c1[1] - c0[1]) * m.visit_us
-            + (c1[2] - c0[2]) * m.edge_scan_us
-            + (c1[3] - c0[3]) * m.packet_overhead_us
-            + (c1[4] - c0[4]) * m.byte_us
-        )
         image_bytes = sum(self._image_bytes.get(r, 0) for r in owned)
-        self.supervision_us += (
-            m.restart_us + image_bytes * m.restore_byte_us + compute_us
+        self.supervision_us += replay_price_us(
+            self.engine.machine, c0, c1, controls, image_bytes
         )
         self.worker_replayed_ticks += replayed
 
@@ -1694,7 +1581,7 @@ class WorkerSupervisor:
             if key in self._fired:
                 continue
             self._fired.add(key)
-            if ev.rank in self._absorbed_set:
+            if ev.rank in self._absorbed:
                 continue
             i = self.pool.owner[ev.rank]
             if self._retired[i]:
@@ -1709,12 +1596,6 @@ class WorkerSupervisor:
             return None
         total = sum(len(a) for a in arrivals)
         return self.timeout * max(1.0, total / _DEADLINE_PACKETS)
-
-    def _tick_retry_msg(self, i: int, arrivals: list[list[Packet]]) -> tuple:
-        """The tick command resent after a recovery — directive stripped
-        (an injected fault fires once)."""
-        sub = {r: arrivals[r] for r in self.pool.owned[i] if arrivals[r]}
-        return ("tick", sub, None)
 
 
 class ParallelRecoveryManager(RecoveryManager):
@@ -1736,29 +1617,22 @@ class ParallelRecoveryManager(RecoveryManager):
         super().__init__(engine)
         self.supervisor = supervisor
 
-    def _take_snapshots(self, tick: int) -> np.ndarray:
-        eng = self.engine
-        p = eng.graph.num_partitions
-        costs = np.zeros(p, dtype=np.float64)
-        bytes_by_rank = self.supervisor.checkpoint(tick)
-        for r in range(p):
-            self._snaps[r] = {"transport": eng.network.snapshot_rank(r)}
-            nbytes = bytes_by_rank[r]
-            self._state_bytes[r] = nbytes
-            self.checkpoint_bytes += nbytes
-            costs[r] = nbytes * eng.machine.checkpoint_byte_us
-            self._log[r] = {t: v for t, v in self._log[r].items() if t > tick}
-        self.epoch_tick = tick
-        return costs
+    def _snapshot_ranks(self, tick: int) -> tuple[list[dict], list[int]]:
+        """Rank-local halves stay in the owning workers; the parent keeps
+        the transport snapshots."""
+        sizes = self.supervisor.checkpoint(tick)
+        network = self.engine.network
+        p = self.engine.graph.num_partitions
+        return (
+            [{"transport": network.snapshot_rank(r)} for r in range(p)],
+            [sizes[r] for r in range(p)],
+        )
 
-    def restore_and_replay(self, r: int, crash_tick: int) -> tuple[float, int]:
+    def _replay(self, r: int, snap: dict, crash_tick: int) -> tuple:
+        """Replay in the owning worker; the parent restores the transport
+        half and interleaves, per replayed tick, the logged deliveries'
+        transport notes with the worker's re-emitted sends."""
         eng = self.engine
-        snap = self._snaps[r]
-        if snap is None:
-            raise TraversalError(
-                f"rank {r} crashed at tick {crash_tick} with no checkpoint "
-                f"to restore (recovery manager not initialised?)"
-            )
         eng.network.restore_rank(r, snap["transport"])
         log = self._log[r]
         per_tick_packets, c0, c1, controls, replayed = self.supervisor.replay(
@@ -1770,17 +1644,164 @@ class ParallelRecoveryManager(RecoveryManager):
                 eng.network.note_replayed_delivery(r, pkt)
             for pkt in per_tick_packets[i]:
                 eng.network.send_packet(pkt)
+        return c0, c1, controls, replayed
 
-        m = eng.machine
-        compute_us = (
-            (c1[0] - c0[0] + controls) * m.previsit_us
-            + (c1[1] - c0[1]) * m.visit_us
-            + (c1[2] - c0[2]) * m.edge_scan_us
-            + (c1[3] - c0[3]) * m.packet_overhead_us
-            + (c1[4] - c0[4]) * m.byte_us
+
+class PoolRanks:
+    """The ``workers > 1`` rank executor of :meth:`SimulationEngine.run`.
+
+    Runs each tick's rank work in the forked pool through a
+    :class:`WorkerSupervisor` and replays the workers' packets into the
+    real network in the sequential global send order — per-rank phase A
+    in ``_rank_order``, the rank-0 wave, per-rank phase B in
+    ``_rank_order`` — so the engine's one tick loop sees exactly what the
+    in-process executor produces.  Every other answer is read from the
+    tick's barrier reports.
+    """
+
+    def __init__(self, engine: "SimulationEngine", pool: WorkerPool, resume) -> None:
+        self.engine = engine
+        self.pool = pool
+        self.supervisor = sup = WorkerSupervisor(engine, pool)
+        #: the last completed barrier's reports, indexed by rank.
+        self.reports: list[RankTickReport] | None = None
+        # Seed-phase packets, replayed in natural rank order — exactly
+        # where in-process seeding's eager flushes land.  A resumed pool
+        # sends bare readies (the restored network already carries every
+        # in-flight packet).
+        seed_packets = sup.start()
+        for r in range(engine.graph.num_partitions):
+            for pkt in seed_packets.get(r, ()):
+                engine.network.send_packet(pkt)
+        if engine.recovery is not None:
+            # Process-aware coordinator: snapshots and replay execute in
+            # the owning worker, the parent keeps the transport snapshots,
+            # logs and cost accounting.
+            engine.recovery = ParallelRecoveryManager(engine, sup)
+            engine.network.recovery = engine.recovery
+        start_tick = 0 if resume is None else resume.loop["ticks"]
+        sup.note_completed(start_tick)
+        if sup.active and engine.recovery is None:
+            # Supervision images at the start tick when no recovery manager
+            # drives checkpoints (its own epochs ship them otherwise).  On
+            # resume this is safe: there are no recorded simulated
+            # recoveries to align with.  With a transplanted recovery
+            # manager we must NOT re-image — images and worker recovery
+            # snaps have to come from the same epoch — so worker
+            # self-healing resumes at its next checkpoint instead.
+            sup.checkpoint(start_tick)
+
+    def tick(self, t: int, arrivals: list[list[Packet]]) -> list[int]:
+        eng = self.engine
+        sup = self.supervisor
+        by_rank, wave_packets = sup.tick(t, arrivals)
+        reports = [by_rank[r] for r in range(len(by_rank))]
+        send = eng.network.send_packet
+        for r in eng._rank_order:
+            for pkt in reports[r].packets_a:
+                send(pkt)
+        for pkt in wave_packets:
+            send(pkt)
+        for r in eng._rank_order:
+            for pkt in reports[r].packets_b:
+                send(pkt)
+        self.reports = reports
+        # Tick t's barrier is complete: a worker failure from here on
+        # (including during this tick's checkpoints) replays *through* t.
+        sup.note_completed(t)
+        sup.maybe_checkpoint(t)
+        return [rep.controls for rep in reports]
+
+    def gather_counters(self, cur: np.ndarray) -> None:
+        for r, rep in enumerate(self.reports):
+            cnt = rep.counters
+            cur[r, 0] = cnt[0]
+            cur[r, 1] = cnt[1]
+            cur[r, 2] = cnt[2]
+            cur[r, 3] = cnt[5]
+            cur[r, 4] = cnt[6]
+
+    def cache_epoch(self, r: int) -> tuple[float, object | None]:
+        rep = self.reports[r]
+        return rep.cache_us, rep.cache_faults
+
+    def spill_epoch(self, r: int) -> tuple[float, object | None]:
+        rep = self.reports[r]
+        return rep.spill_us, rep.spill_faults
+
+    def bp_stalls(self, r: int) -> int:
+        return self.reports[r].bp_stalls
+
+    def digest_rows(self) -> tuple[list, list]:
+        return (
+            [rep.counters[:5] for rep in self.reports],
+            [rep.probe or () for rep in self.reports],
         )
-        cost_us = (
-            m.restart_us + self._state_bytes[r] * m.restore_byte_us + compute_us
+
+    def ckpt_bytes(self) -> list[int]:
+        return [rep.ckpt_bytes for rep in self.reports]
+
+    def timeline_totals(self) -> tuple[int, int, int, int, int]:
+        reps = self.reports
+        return (
+            sum(rep.counters[1] for rep in reps),
+            sum(rep.cache_hits for rep in reps),
+            sum(rep.cache_misses for rep in reps),
+            sum(rep.bp_stalls for rep in reps),
+            sum(rep.queue_len for rep in reps),
         )
-        self.recoveries += 1
-        return cost_us, replayed
+
+    def all_terminated(self) -> bool:
+        return all(rep.terminated for rep in self.reports)
+
+    def all_quiet(self) -> bool:
+        return all(rep.quiet for rep in self.reports)
+
+    def any_buffered(self) -> bool:
+        return any(rep.buffered for rep in self.reports)
+
+    def any_buffered_visitors(self) -> bool:
+        return any(rep.buffered_visitors for rep in self.reports)
+
+    def queue_lengths(self) -> list[int]:
+        return [rep.queue_len for rep in self.reports]
+
+    def durable_sections(self) -> list[dict]:
+        return self.supervisor.durable_capture()
+
+    def final(self) -> tuple[list, int | None, list]:
+        """Final counters, wave count and states from the finalize
+        barrier: batch states are read zero-copy from the shared arenas,
+        object states are pickled back once."""
+        counters, states, waves = self.supervisor.finalize()
+        eng = self.engine
+        eng.ipc_counters = self.pool.ipc_counters()
+        ranks = range(eng.graph.num_partitions)
+        if eng.batch_mode:
+            states = {r: eng.ranks[r].states for r in ranks}
+        return [counters[r] for r in ranks], waves, [states[r] for r in ranks]
+
+    def last_barrier(self) -> tuple[list, None, None]:
+        """Post-mortem counters after a worker failure, reconstructed from
+        the last completed barrier (no worker is asked)."""
+        if self.reports is None:
+            return [], None, None
+        counters = [
+            RankCounters(
+                **dict(zip(REPORT_COUNTERS, rep.counters, strict=True)),
+                bp_stalls=rep.bp_stalls,
+            )
+            for rep in self.reports
+        ]
+        return counters, None, None
+
+    def fold_stats(self, stats: TraversalStats) -> None:
+        """Surface the supervisor's own activity (excluded from the chaos
+        bit-identity contract via ``SUPERVISION_STATS_FIELDS``)."""
+        sup = self.supervisor
+        stats.worker_crashes = sup.worker_crashes
+        stats.worker_hangs = sup.worker_hangs
+        stats.worker_respawns = sup.worker_respawns
+        stats.worker_replayed_ticks = sup.worker_replayed_ticks
+        stats.degraded_ranks = sup.degraded_ranks
+        stats.supervision_us = sup.supervision_us

@@ -65,6 +65,80 @@ def estimate_checkpoint_bytes(engine: "SimulationEngine", r: int) -> int:
     )
 
 
+def restore_rank_snapshot(engine: "SimulationEngine", r: int, snap: dict) -> None:
+    """Reinstall rank ``r``'s crash-recovery snapshot (queue, mailbox and,
+    with a detector, its protocol state) in place."""
+    engine.ranks[r].restore_state(snap["queue"])
+    engine.mailboxes[r].restore_state(snap["mailbox"])
+    if engine.detectors is not None:
+        engine.detectors[r].restore_state(snap["detector"])
+
+
+def counter_snapshot(
+    engine: "SimulationEngine", ranks
+) -> tuple[int, int, int, int, int]:
+    """Summed cumulative (previsits, visits, edges, packets, bytes) over
+    ``ranks`` — the before/after pair a replay's compute is priced from."""
+    pv = vi = es = ps = bs = 0
+    for r in ranks:
+        c = engine.ranks[r].counters
+        mb = engine.mailboxes[r]
+        pv += c.previsits
+        vi += c.visits
+        es += c.edges_scanned
+        ps += mb.packets_sent
+        bs += mb.bytes_sent
+    return (pv, vi, es, ps, bs)
+
+
+def replay_price_us(machine, c0, c1, controls: int, restore_bytes: int) -> float:
+    """Simulated price of one restore-and-replay: the fixed restart cost,
+    the restored bytes, and the replayed compute (counter deltas ``c1 -
+    c0`` plus handled control messages) at the ordinary event rates."""
+    m = machine
+    compute_us = (
+        (c1[0] - c0[0] + controls) * m.previsit_us
+        + (c1[1] - c0[1]) * m.visit_us
+        + (c1[2] - c0[2]) * m.edge_scan_us
+        + (c1[3] - c0[3]) * m.packet_overhead_us
+        + (c1[4] - c0[4]) * m.byte_us
+    )
+    return m.restart_us + restore_bytes * m.restore_byte_us + compute_us
+
+
+def replay_ticks(
+    engine: "SimulationEngine",
+    order,
+    first: int,
+    last: int,
+    arrivals,
+    *,
+    before=None,
+    after=None,
+) -> tuple[int, int]:
+    """Re-execute ticks ``first .. last`` for the ranks in ``order``: each
+    rank's ``_rank_tick`` on its logged ``arrivals(r, t)``, the rank-0
+    detector wave if rank 0 is among them, then each rank's flush — the
+    main loop's sequence, so replays are behaviour-identical.
+    ``before(t)`` / ``after(t)`` bracket each tick.  Returns ``(controls
+    handled, ticks replayed)``."""
+    detectors = engine.detectors
+    wave = 0 in order and detectors is not None
+    controls = 0
+    for t in range(first, last + 1):
+        if before is not None:
+            before(t)
+        for r in order:
+            controls += engine._rank_tick(r, list(arrivals(r, t)))
+        if wave and not detectors[0].terminated:
+            detectors[0].maybe_start_wave()
+        for r in order:
+            engine.mailboxes[r].flush()
+        if after is not None:
+            after(t)
+    return controls, max(0, last - first + 1)
+
+
 class RecoveryManager:
     """Checkpoint/restart coordinator for one engine run."""
 
@@ -102,18 +176,11 @@ class RecoveryManager:
 
     def _take_snapshots(self, tick: int) -> np.ndarray:
         eng = self.engine
-        p = eng.graph.num_partitions
-        costs = np.zeros(p, dtype=np.float64)
-        for r in range(p):
-            snap = {
-                "queue": eng.ranks[r].snapshot_state(),
-                "mailbox": eng.mailboxes[r].snapshot_state(),
-                "transport": eng.network.snapshot_rank(r),
-            }
-            if eng.detectors is not None:
-                snap["detector"] = eng.detectors[r].snapshot_state()
+        snaps, sizes = self._snapshot_ranks(tick)
+        costs = np.zeros(len(snaps), dtype=np.float64)
+        for r, snap in enumerate(snaps):
             self._snaps[r] = snap
-            nbytes = self._estimate_bytes(r)
+            nbytes = sizes[r]
             self._state_bytes[r] = nbytes
             self.checkpoint_bytes += nbytes
             costs[r] = nbytes * eng.machine.checkpoint_byte_us
@@ -122,9 +189,20 @@ class RecoveryManager:
         self.epoch_tick = tick
         return costs
 
-    def _estimate_bytes(self, r: int) -> int:
-        """See :func:`estimate_checkpoint_bytes`."""
-        return estimate_checkpoint_bytes(self.engine, r)
+    def _snapshot_ranks(self, tick: int) -> tuple[list[dict], list[int]]:
+        """Every rank's epoch snapshot and simulated byte size."""
+        eng = self.engine
+        snaps = []
+        for r in range(eng.graph.num_partitions):
+            snap = {
+                "queue": eng.ranks[r].snapshot_state(),
+                "mailbox": eng.mailboxes[r].snapshot_state(),
+                "transport": eng.network.snapshot_rank(r),
+            }
+            if eng.detectors is not None:
+                snap["detector"] = eng.detectors[r].snapshot_state()
+            snaps.append(snap)
+        return snaps, [estimate_checkpoint_bytes(eng, r) for r in range(len(snaps))]
 
     # ------------------------------------------------------------------ #
     def log_arrivals(self, tick: int, rank: int, packets: list[Packet]) -> None:
@@ -143,53 +221,37 @@ class RecoveryManager:
         detector counters land bit-identical to the moment before the
         crash.  Returns ``(simulated_cost_us, ticks_replayed)``.
         """
-        eng = self.engine
         snap = self._snaps[r]
         if snap is None:
             raise TraversalError(
                 f"rank {r} crashed at tick {crash_tick} with no checkpoint "
                 f"to restore (recovery manager not initialised?)"
             )
-        eng.ranks[r].restore_state(snap["queue"])
-        eng.mailboxes[r].restore_state(snap["mailbox"])
-        if eng.detectors is not None:
-            eng.detectors[r].restore_state(snap["detector"])
-        eng.network.restore_rank(r, snap["transport"])
-
-        c0 = self._counter_tuple(r)
-        controls = 0
-        replayed = 0
-        log = self._log[r]
-        detectors = eng.detectors
-        for t in range(self.epoch_tick + 1, crash_tick):
-            packets = log.get(t, ())
-            for pkt in packets:
-                eng.network.note_replayed_delivery(r, pkt)
-            controls += eng._rank_tick(r, list(packets))
-            if r == 0 and detectors is not None and not detectors[0].terminated:
-                detectors[0].maybe_start_wave()
-            eng.mailboxes[r].flush()
-            replayed += 1
-        c1 = self._counter_tuple(r)
-
-        m = eng.machine
-        compute_us = (
-            (c1[0] - c0[0] + controls) * m.previsit_us
-            + (c1[1] - c0[1]) * m.visit_us
-            + (c1[2] - c0[2]) * m.edge_scan_us
-            + (c1[3] - c0[3]) * m.packet_overhead_us
-            + (c1[4] - c0[4]) * m.byte_us
-        )
-        cost_us = (
-            m.restart_us + self._state_bytes[r] * m.restore_byte_us + compute_us
-        )
+        c0, c1, controls, replayed = self._replay(r, snap, crash_tick)
         self.recoveries += 1
+        cost_us = replay_price_us(
+            self.engine.machine, c0, c1, controls, self._state_bytes[r]
+        )
         return cost_us, replayed
 
-    def _counter_tuple(self, r: int) -> tuple[int, int, int, int, int]:
-        c = self.engine.ranks[r].counters
-        mb = self.engine.mailboxes[r]
-        return (c.previsits, c.visits, c.edges_scanned, mb.packets_sent, mb.bytes_sent)
+    def _replay(self, r: int, snap: dict, crash_tick: int) -> tuple:
+        """Restore rank ``r`` from ``snap`` and re-execute its logged
+        ticks in this process; returns ``(c0, c1, controls, replayed)``."""
+        eng = self.engine
+        restore_rank_snapshot(eng, r, snap)
+        eng.network.restore_rank(r, snap["transport"])
+        log = self._log[r]
+
+        def note_deliveries(t: int) -> None:
+            for pkt in log.get(t, ()):
+                eng.network.note_replayed_delivery(r, pkt)
+
+        c0 = counter_snapshot(eng, (r,))
+        controls, replayed = replay_ticks(
+            eng, (r,), self.epoch_tick + 1, crash_tick - 1,
+            lambda _r, t: log.get(t, ()), before=note_deliveries,
+        )
+        return c0, counter_snapshot(eng, (r,)), controls, replayed
 
     # ------------------------------------------------------------------ #
     def storage_recover(self, r: int, num_pages: int) -> float:

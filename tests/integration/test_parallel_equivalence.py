@@ -17,7 +17,6 @@ runs identically.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -30,16 +29,11 @@ from repro.algorithms.sssp import sssp
 from repro.algorithms.triangles import triangle_count
 from repro.bench.harness import build_rmat_graph
 from repro.comm.faults import CrashEvent, FaultPlan
-from repro.runtime.costmodel import EngineConfig, laptop
+from repro.errors import TraversalError
+from repro.runtime.costmodel import STORAGE_NVRAM, EngineConfig, hyperion_dit, laptop
 from repro.runtime.engine import SimulationEngine
 
 WORKERS = 4
-
-#: CI runs this matrix under both IPC transports: ``REPRO_IPC=pipe``
-#: re-points every parallel cell at the pickled-pipe path (the default,
-#: unset, exercises the engine default — the shared-memory ring).
-IPC = os.environ.get("REPRO_IPC")
-IPC_KW = {"ipc": IPC} if IPC else {}
 
 CHAOS_PLAN = FaultPlan(
     seed=7, drop_rate=0.03, duplicate_rate=0.02, delay_rate=0.05, max_delay=3
@@ -105,7 +99,7 @@ def graph():
 def test_matrix_cell(algorithm, topology, batch, graph):
     run = RUNNERS[algorithm]
     seq = run(graph, topology=topology, batch=batch)
-    par = run(graph, topology=topology, batch=batch, workers=WORKERS, **IPC_KW)
+    par = run(graph, topology=topology, batch=batch, workers=WORKERS)
     assert_bit_identical(algorithm, seq, par)
 
 
@@ -115,7 +109,7 @@ def test_chaos_cell(algorithm, graph):
     preserves the global send order the fault injector draws against."""
     run = RUNNERS[algorithm]
     kw = dict(batch=True, faults=CHAOS_PLAN, mailbox_cap=64,
-              config=EngineConfig(visitor_budget=8), **IPC_KW)
+              config=EngineConfig(visitor_budget=8))
     seq = run(graph, **kw)
     par = run(graph, workers=WORKERS, **kw)
     assert seq.stats.packets_dropped > 0  # the plan actually engaged
@@ -130,7 +124,7 @@ def test_crash_recovery_cell(algorithm, batch, graph):
     sequential recovery manager's transport operation sequence."""
     run = RUNNERS[algorithm]
     kw = dict(batch=batch, faults=CRASH_PLAN, checkpoint_interval=4,
-              config=EngineConfig(visitor_budget=8), **IPC_KW)
+              config=EngineConfig(visitor_budget=8))
     seq = run(graph, **kw)
     par = run(graph, workers=WORKERS, **kw)
     assert seq.stats.recoveries == 2  # both planned crashes engaged
@@ -143,7 +137,7 @@ def test_pressure_cell(algorithm, graph):
     run worker-side, their charges merge parent-side in rank order."""
     run = RUNNERS[algorithm]
     kw = dict(batch=True, mailbox_cap=64, queue_spill=16,
-              config=EngineConfig(visitor_budget=8), **IPC_KW)
+              config=EngineConfig(visitor_budget=8))
     seq = run(graph, **kw)
     par = run(graph, workers=WORKERS, **kw)
     assert seq.stats.total_queue_spilled > 0  # the spill limit actually engaged
@@ -153,11 +147,10 @@ def test_pressure_cell(algorithm, graph):
 def test_order_digests_identical(graph):
     """The per-tick order digests — the race detector's observable — are
     bit-identical between schedules, not just the final stats."""
-    def digests(workers: int, ipc: str | None = IPC) -> tuple[list, list]:
+    def digests(workers: int) -> tuple[list, list]:
         engine = SimulationEngine(
             graph, BFSAlgorithm(0), laptop(),
-            config=EngineConfig(record_order_digests=True, workers=workers,
-                                ipc_transport=ipc or "ring"),
+            config=EngineConfig(record_order_digests=True, workers=workers),
         )
         engine.run()
         return engine.tick_digests, engine.tick_rank_digests
@@ -167,16 +160,34 @@ def test_order_digests_identical(graph):
     assert len(seq_tick) > 0
     assert seq_tick == par_tick
     assert seq_rank == par_rank
-    # Both transports, not just the one under test: the digests are the
-    # strongest observable that frame decode order == pickle decode order.
-    assert digests(WORKERS, "ring") == (seq_tick, seq_rank)
-    assert digests(WORKERS, "pipe") == (seq_tick, seq_rank)
+
+
+@pytest.mark.parametrize("machine", ["laptop", "nvram"])
+@pytest.mark.parametrize("batch", [False, True], ids=["object", "batch"])
+def test_max_ticks_post_mortem_identical(batch, machine, graph):
+    """The ``max_ticks`` post-mortem is executor-blind: the partial stats
+    and the traced timeline a stalled run carries are the same whether
+    the ranks ran in-process or in the worker pool."""
+    m = laptop() if machine == "laptop" else hyperion_dit(STORAGE_NVRAM)
+    config = EngineConfig(max_ticks=4, trace_timeline=True)
+
+    def post_mortem(workers: int):
+        with pytest.raises(TraversalError, match="max_ticks=4") as err:
+            bfs(graph, 0, batch=batch, machine=m, config=config, workers=workers)
+        return err.value.stats
+
+    seq = post_mortem(1)
+    par = post_mortem(2)
+    assert seq.ticks == 4
+    assert len(seq.timeline) == 4
+    assert _full_stats_key(seq) == _full_stats_key(par)
+    assert seq.timeline == par.timeline
 
 
 def test_workers_clamped_to_partitions(graph):
     """workers > p degrades gracefully to one worker per rank."""
     seq = bfs(graph, 0, batch=True)
-    par = bfs(graph, 0, batch=True, workers=64, **IPC_KW)
+    par = bfs(graph, 0, batch=True, workers=64)
     assert_bit_identical("bfs", seq, par)
 
 
@@ -184,24 +195,10 @@ def test_workers_clamped_to_partitions(graph):
 # IPC transport cells (INTERNALS §14)
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
-def test_ipc_transports_bit_identical(algorithm, graph):
-    """Ring and pipe decode into the same barrier merge: results and the
-    full stats key match the sequential run under both transports."""
-    run = RUNNERS[algorithm]
-    seq = run(graph, batch=True)
-    ring = run(graph, batch=True, workers=WORKERS, ipc="ring")
-    pipe = run(graph, batch=True, workers=WORKERS, ipc="pipe")
-    assert ring.ipc["transport"] == "ring"
-    assert pipe.ipc["transport"] == "pipe"
-    assert_bit_identical(algorithm, seq, ring)
-    assert_bit_identical(algorithm, seq, pipe)
-
-
 def test_ring_steady_state_pickles_nothing(graph):
     """The zero-pickle contract: a clean batch-mode ring run moves every
     per-tick byte through frames — ``tick_bytes_pickled`` is exactly 0."""
-    r = bfs(graph, 0, batch=True, workers=WORKERS, ipc="ring")
+    r = bfs(graph, 0, batch=True, workers=WORKERS)
     assert r.ipc["transport"] == "ring"
     assert r.ipc["frames"] > 0
     assert r.ipc["frame_bytes"] > 0
@@ -211,17 +208,10 @@ def test_ring_steady_state_pickles_nothing(graph):
     assert r.ipc["bytes_pickled"] > 0
 
 
-def test_pipe_mode_reports_no_frames(graph):
-    r = bfs(graph, 0, batch=True, workers=WORKERS, ipc="pipe")
-    assert r.ipc["transport"] == "pipe"
-    assert r.ipc["frames"] == 0
-    assert r.ipc["tick_bytes_pickled"] > 0
-
-
 def test_object_path_stays_on_pipe(graph):
     """The ring fast path is batch-mode only; object-mode runs keep the
-    pickled pipe even when ``ipc="ring"`` is requested."""
-    r = bfs(graph, 0, batch=False, workers=WORKERS, ipc="ring")
+    pickled pipe."""
+    r = bfs(graph, 0, batch=False, workers=WORKERS)
     assert r.ipc["transport"] == "pipe"
     assert r.ipc["frames"] == 0
     assert_bit_identical("bfs", bfs(graph, 0, batch=False), r)
@@ -230,12 +220,12 @@ def test_object_path_stays_on_pipe(graph):
 def test_tiny_ring_overflow_spills_to_pipe(graph, monkeypatch):
     """Frames that do not fit fall back to the pickled pipe per tick;
     a deliberately tiny arena forces spills and the run must still be
-    bit-identical (the spill reply is the exact pipe-mode payload)."""
+    bit-identical (the spill reply is the exact pickled-pipe payload)."""
     import repro.runtime.parallel as parallel
 
     monkeypatch.setattr(parallel, "RING_BYTES", 1 << 9)
     seq = bfs(graph, 0, batch=True)
-    par = bfs(graph, 0, batch=True, workers=WORKERS, ipc="ring")
+    par = bfs(graph, 0, batch=True, workers=WORKERS)
     assert par.ipc["transport"] == "ring"
     assert par.ipc["ring_spills"] > 0
     assert par.ipc["tick_bytes_pickled"] > 0  # the spilled ticks
@@ -254,7 +244,7 @@ def test_respawned_worker_reattaches_ring(graph):
     seq = bfs(graph, 0, **kw)
     par = bfs(graph, 0, workers=WORKERS, worker_restarts=2,
               worker_faults=WorkerFaultPlan.from_spec("seed=3,kill=5:1"),
-              ipc="ring", **kw)
+              **kw)
     assert par.stats.worker_respawns >= 1  # the kill actually engaged
     assert par.ipc["transport"] == "ring"
     assert par.ipc["frames"] > 0
