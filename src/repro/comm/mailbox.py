@@ -116,7 +116,8 @@ class Mailbox:
         read_back, _ = self._ledger([(hop, buffered - 1, 1, int(full))],
                                     size_bytes + ENVELOPE_HEADER_BYTES)
         if full:
-            self._emit(hop, self._buffers.pop(hop, []) + [env], read_back[0])
+            self._read_back(read_back[0])
+            self._emit(hop, self._buffers.pop(hop, []) + [env])
         else:
             self._buffers.setdefault(hop, []).append(env)
             self._buffer_counts[hop] = buffered
@@ -171,16 +172,24 @@ class Mailbox:
         ``pieces`` are ``(hop, a, envelope)``: envelopes of one wire size,
         grouped stably by next hop (never this rank); message ``k`` of a
         piece sits at stream position ``pos[a + k]``.  A hop holding ``c0``
-        messages fills packets at group offsets ``agg - c0 + j*agg``; each
-        packet is emitted at its filling message's stream position, the
+        messages fills packets at group offsets ``agg - c0 + j*agg``, the
         hop's earlier buffer rides in its first packet, and the remainder
-        stays buffered.  A packet carries one envelope per piece it holds
-        (batch pieces are sliced at packet boundaries): envelope boundaries
-        are the one thing that differs from per-message sends.
+        stays buffered.  Each packet reads its fill window's spill back in
+        the stream order of its filling message.
+
+        On an ordered fabric each packet is emitted alone, at that stream
+        position, carrying one envelope per piece it holds (batch pieces
+        are sliced at packet boundaries).  On a fabric that takes packet
+        trains each hop's full packets leave as one train
+        (:attr:`Packet.count`), and a piece is sliced only where the hop's
+        last full packet ends.  Envelope boundaries, and on a train fabric
+        the packet objects, are all that differs from per-message sends.
         """
         agg = self.aggregation_size
-        groups = []  # [hop, buffered count, new visitors, packets] per hop
-        packets, rests, envs = [], [], []  # packets/rests: (stream position, group, ...)
+        trains = self.network.packet_trains
+        metered = self.capacity_bytes is not None
+        groups = []  # [hop, buffered count, new messages, packets] per hop
+        cuts, fills, rests, envs = [], [], [], []  # (stream position, group, ...)
         for hop, a, env in pieces:
             if not groups or hop != groups[-1][0]:
                 if envs:
@@ -188,29 +197,40 @@ class Mailbox:
                 c = self._buffer_counts.get(hop, 0)
                 groups.append([hop, c, 0, 0])
                 envs = []
-            m, k = env.count, 0
-            groups[-1][2] += m
+            g, m, k = len(groups) - 1, env.count, 0
+            groups[g][2] += m
             while k < m:
-                take = min(m - k, agg - c)
+                # packets this cut fills: every one it can on a train
+                # fabric, at most one on an ordered one
+                n = (c + m - k) // agg if trains else int(c + m - k >= agg)
+                take = n * agg - c if n else m - k
                 if not envs:
                     start = a + k
                 envs.append(env if take == m else Envelope(
                     env.dest, KIND_VISITOR, env.payload.slice(k, k + take), env.size_bytes, take))
-                k += take
-                c += take
-                if c == agg:
-                    packets.append((pos[a + k - 1], len(groups) - 1, envs))
-                    groups[-1][3] += 1
+                if n:
+                    if metered:
+                        fills.extend((pos[a + j], g) for j in range(k + agg - c - 1, k + take, agg))
+                    if trains and cuts and cuts[-1][1] == g:
+                        cuts[-1][2].extend(envs)  # the hop's train grows
+                    else:
+                        cuts.append((pos[a + k + take - 1], g, envs))
+                    groups[g][3] += n
                     envs, c = [], 0
+                else:
+                    c += take
+                k += take
         if envs:
             rests.append((pos[start], len(groups) - 1, envs, c))
         pm = ENVELOPE_HEADER_BYTES + pieces[0][2].size_bytes  # wire bytes per message
         read_back, full_spill = self._ledger(groups, pm)
-        for _, g, envs in sorted(packets):
+        for _, g in sorted(fills):
+            self._read_back(read_back[g])
+            read_back[g] = full_spill  # only the first packet holds earlier bytes
+        for _, g, envs in cuts if trains else sorted(cuts):
             hop = groups[g][0]
             self._buffer_counts.pop(hop, None)
-            self._emit(hop, self._buffers.pop(hop, []) + envs, read_back[g])
-            read_back[g] = full_spill  # only the first packet holds earlier bytes
+            self._emit(hop, self._buffers.pop(hop, []) + envs, groups[g][3] if trains else 1)
         # remainders join the hop dict in stream order of their first
         # visitor: flush() walks that order at tick end
         for _, g, envs, c in sorted(rests):
@@ -261,17 +281,20 @@ class Mailbox:
             self.spill.spill(NS_MAILBOX, self.bp_spilled_bytes - before)
         return read_back, max(agg * pm - cap, 0)
 
-    def _emit(self, hop: int, envelopes: list[Envelope], spilled: int) -> None:
-        """Put one packet on the wire, first reading its window's overflow
-        back from the spill log."""
+    def _read_back(self, spilled: int) -> None:
+        """Read one packet's fill-window overflow back from the spill log
+        before it goes on the wire."""
         if spilled:
             self.bp_unspilled_bytes += spilled
             if self.spill is not None:
                 # repro-lint: disable=RPR005 -- the engine drains this pager's epoch into tick costs
                 self.spill.unspill(NS_MAILBOX, spilled)
-        pkt = Packet(src=self.rank, hop_dest=hop, envelopes=envelopes)
+
+    def _emit(self, hop: int, envelopes: list[Envelope], count: int = 1) -> None:
+        """Put ``count`` packets on the wire to ``hop`` as one object."""
+        pkt = Packet(src=self.rank, hop_dest=hop, envelopes=envelopes, count=count)
         self.network.send_packet(pkt)
-        self.packets_sent += 1
+        self.packets_sent += count
         self.bytes_sent += pkt.wire_bytes
 
     def flush(self) -> None:
@@ -280,7 +303,8 @@ class Mailbox:
         for hop in list(self._buffers):
             self._buffer_counts.pop(hop, None)
             self._buffer_bytes.pop(hop, None)
-            self._emit(hop, self._buffers.pop(hop), self._spill_bytes.pop(hop, 0))
+            self._read_back(self._spill_bytes.pop(hop, 0))
+            self._emit(hop, self._buffers.pop(hop))
 
     # ------------------------------------------------------------------ #
     def receive(self, packets: list[Packet]) -> list[Envelope]:

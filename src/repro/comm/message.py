@@ -58,6 +58,13 @@ class Envelope:
 class Packet:
     """A batch of envelopes moving one hop together.
 
+    ``count`` is the number of packets the object stands for, like
+    :attr:`Envelope.count`: a *packet train* of ``count`` full packets
+    sent back to back on one ``(src, hop_dest)`` channel, its envelopes
+    the concatenation of theirs.  Only order-free fabrics
+    (:attr:`~repro.comm.network.Network.packet_trains`) carry trains;
+    every wire counter charges ``count`` packets and ``count`` headers.
+
     ``seq`` and ``ack`` exist only under reliable delivery
     (:mod:`repro.comm.reliable`): ``seq`` is the packet's position in its
     ``(src, hop_dest)`` channel (-1 = unsequenced / plain fabric), ``ack``
@@ -70,13 +77,14 @@ class Packet:
     _cached_wire_bytes: int = -1
     seq: int = -1
     ack: int = -1
+    count: int = 1
 
     @property
     def wire_bytes(self) -> int:
-        """Total bytes on the wire, including the packet header (computed
-        once — this is on the network hot path)."""
+        """Total bytes on the wire, including one header per packet
+        (computed once — this is on the network hot path)."""
         if self._cached_wire_bytes < 0:
-            total = PACKET_HEADER_BYTES  # Envelope.wire_bytes, inlined per envelope
+            total = self.count * PACKET_HEADER_BYTES  # Envelope.wire_bytes, inlined
             for e in self.envelopes:
                 total += e.count * (e.size_bytes + ENVELOPE_HEADER_BYTES)
             self._cached_wire_bytes = total

@@ -16,6 +16,13 @@ from repro.errors import CommunicationError
 class Network:
     """In-flight packet store shared by all mailboxes of one traversal."""
 
+    #: The fabric delivers per destination and nothing observes the order
+    #: of sends across destinations, so a mailbox may ship each hop's full
+    #: packets of one segment pass as one train (:attr:`Packet.count`).
+    #: Fabrics whose behaviour depends on the global emission order (the
+    #: reliable transport's fault injector) set this False.
+    packet_trains = True
+
     def __init__(self, num_ranks: int) -> None:
         if num_ranks < 1:
             raise CommunicationError(f"need at least 1 rank, got {num_ranks}")
@@ -30,7 +37,7 @@ class Network:
         if not 0 <= packet.hop_dest < self.num_ranks:
             raise CommunicationError(f"packet addressed to invalid rank {packet.hop_dest}")
         self._sent_this_tick.append(packet)
-        self.total_packets += 1
+        self.total_packets += packet.count
         self.total_bytes += packet.wire_bytes
 
     def advance(self) -> list[list[Packet]]:
@@ -46,8 +53,9 @@ class Network:
         return arrivals
 
     def packets_in_flight(self) -> int:
-        """Packets sent but not yet handed to a mailbox."""
-        return len(self._sent_this_tick)
+        """Packets sent but not yet handed to a mailbox (a train counts
+        its ``count`` packets)."""
+        return sum(pkt.count for pkt in self._sent_this_tick)
 
     def visitor_envelopes_in_flight(self) -> int:
         """Logical visitor messages inside in-flight packets (quiescence
@@ -61,7 +69,7 @@ class Network:
 
     def idle(self) -> bool:
         """True when no packet is anywhere in the fabric."""
-        return self.packets_in_flight() == 0
+        return not self._sent_this_tick
 
     # -- durable checkpoints ------------------------------------------- #
     def snapshot_full(self) -> dict:

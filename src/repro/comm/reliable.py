@@ -96,9 +96,16 @@ class TransportReport:
 class ReliableTransport:
     """Drop-in :class:`Network` replacement with reliable delivery.
 
+    The fault injector draws from one decision stream in global emission
+    order, so mailboxes must hand this fabric single packets in per-message
+    order, never trains (:attr:`packet_trains` is False).
+
     ``recovery`` (a :class:`~repro.runtime.recovery.RecoveryManager`) must
     be attached before the first tick when the fault plan contains crashes.
     """
+
+    #: See :attr:`repro.comm.network.Network.packet_trains`.
+    packet_trains = False
 
     def __init__(
         self,
@@ -173,6 +180,11 @@ class ReliableTransport:
         if not 0 <= packet.hop_dest < self.num_ranks:
             raise CommunicationError(
                 f"packet addressed to invalid rank {packet.hop_dest}"
+            )
+        if packet.count != 1:
+            raise CommunicationError(
+                f"the reliable transport sequences single packets, got a "
+                f"train of {packet.count}"
             )
         s, d = packet.src, packet.hop_dest
         ch = (s, d)

@@ -62,8 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import SimulationEngine
     from repro.runtime.trace import TraversalStats
 
-#: On-disk epoch format version (bumped on incompatible layout changes).
-FORMAT_VERSION = 1
+#: On-disk epoch format version (bumped on incompatible layout changes;
+#: 2: the ``ranks`` section holds one pickled blob per rank).
+FORMAT_VERSION = 2
 
 #: Simulated bytes of one rank's durable section beyond its crash-recovery
 #: image (manifest entry, section framing, pager/cache/ledger state).
@@ -270,6 +271,19 @@ def collect_rank_section(
     return sec
 
 
+def pack_rank_section(
+    engine: "SimulationEngine", r: int, recovery_snap: dict | None = None
+) -> bytes:
+    """:func:`collect_rank_section`, pickled: the form an epoch stores.
+    Under ``workers > 1`` each worker packs its own ranks, so a rank's
+    state is pickled once, by its owner, and the parent only stores the
+    bytes."""
+    return pickle.dumps(
+        collect_rank_section(engine, r, recovery_snap),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
 def restore_rank_section(engine: "SimulationEngine", r: int, sec: dict) -> None:
     """Reinstall one rank's durable section in place.
 
@@ -416,7 +430,7 @@ class DurabilityManager:
         tick: int,
         loop: dict,
         stats: "TraversalStats",
-        rank_sections: list[dict] | None = None,
+        rank_sections: list[bytes] | None = None,
     ) -> None:
         """Atomically publish the epoch ending at ``tick``.
 
@@ -426,8 +440,9 @@ class DurabilityManager:
         itself, so final stats — including ``durable_io_us``, which rides
         the simulated clock — land identical to an uninterrupted run's.
 
-        ``rank_sections`` is the parallel executor's worker-collected
-        sections; ``None`` (sequential) collects them live.
+        ``rank_sections`` is the parallel executor's worker-packed
+        sections (:func:`pack_rank_section`); ``None`` (sequential) packs
+        them live.
         """
         eng = self.engine
         p = eng.graph.num_partitions
@@ -437,7 +452,7 @@ class DurabilityManager:
         if rank_sections is None:
             rec = eng.recovery
             rank_sections = [
-                collect_rank_section(
+                pack_rank_section(
                     eng, r, recovery_snap=(rec._snaps[r] if rec is not None else None)
                 )
                 for r in range(p)
@@ -618,14 +633,35 @@ class DurabilityManager:
         return sorted(out)
 
     def _validate_epoch(self, tick: int) -> bool:
-        """Read-back verification without installing anything."""
+        """Read-back verification without installing anything.
+
+        Checks the manifest and every section's checksum against the bytes
+        on disk, but unpickles nothing: a section whose bytes match the
+        checksum taken over ``pickle.dumps``' own output loads by
+        construction, and unpickling every epoch just written doubled the
+        cost of each durable write (object-path visitor heaps dominate).
+        """
         try:
-            return self._try_load(tick) is not None
+            return self._verified_blobs(tick) is not None
         except ConfigurationError:  # pragma: no cover - own write, own key
             return False
 
     def _try_load(self, tick: int) -> dict | None:
-        """Load and fully verify one epoch; ``None`` on any corruption.
+        """Load and fully verify one epoch; ``None`` on any corruption."""
+        blobs = self._verified_blobs(tick)
+        if blobs is None:
+            return None
+        try:
+            payload = {name: pickle.loads(blob) for name, blob in blobs.items()}
+            payload["ranks"] = [pickle.loads(blob) for blob in payload["ranks"]]
+            return payload
+        except (KeyError, TypeError, ValueError, EOFError,
+                pickle.UnpicklingError, AttributeError, IndexError):
+            return None
+
+    def _verified_blobs(self, tick: int) -> dict | None:
+        """One epoch's section bytes by name, each checked against its
+        manifest checksum; ``None`` on any corruption.
 
         A parseable manifest whose config key differs raises
         ``ConfigurationError`` instead — that epoch belongs to a different
@@ -656,7 +692,7 @@ class DurabilityManager:
                 data = fh.read()
         except OSError:
             return None
-        payload: dict = {}
+        blobs: dict = {}
         try:
             for entry in entries:
                 off, length = entry["offset"], entry["length"]
@@ -668,11 +704,10 @@ class DurabilityManager:
                 ).hexdigest()
                 if digest != entry["blake2b"]:
                     return None
-                payload[entry["name"]] = pickle.loads(blob)
-        except (KeyError, TypeError, ValueError, EOFError,
-                pickle.UnpicklingError, AttributeError, IndexError):
+                blobs[entry["name"]] = blob
+        except (KeyError, TypeError, ValueError):
             return None
-        return payload
+        return blobs
 
     def load_latest(self) -> ResumeState | None:
         """Resume path: restore the newest valid epoch in place.

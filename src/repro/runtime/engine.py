@@ -105,7 +105,7 @@ class SimulationEngine:
 
         #: Plain lossless fabric, or the reliable transport when a fault
         #: plan or ``reliable=True`` is configured (same interface; the
-        #: mailboxes cannot tell them apart).
+        #: mailboxes read only its ``packet_trains`` class property).
         self.reliable_mode = self.config.reliable_active
         if self.reliable_mode:
             self.network: Network | ReliableTransport = ReliableTransport(

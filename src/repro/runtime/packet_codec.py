@@ -16,7 +16,8 @@ Frame layout (little-endian, in order)::
                       n_control_values
     schema   u8 length + [v_dtype, p_dtype, has_parents, parents_dtype,
                           n_extras, extras dtypes...]   (batch payloads)
-    packets  src i32 | hop_dest i32 | seq i64 | ack i64 | n_env i32
+    packets  src i32 | hop_dest i32 | seq i64 | ack i64 | count i32 |
+             n_env i32
     envs     dest i32 | kind u8 | size_bytes i64 | count i64 | ptype u8
     batches  length i64 per batch, then the concatenated vertices /
              payloads / parents / per-extra columns
@@ -28,9 +29,10 @@ object-path ``Visitor`` payloads, an unregistered control string, batch
 envelopes with heterogeneous column schemas — raises
 :class:`UnframeablePayload` and the caller falls back to the pickled
 pipe, which is always correct.  Decoding is exact: dtypes, ``seq``/``ack``
-stamps, per-message byte sizes, control value *types* (``bool`` vs
-``int``) all round-trip, so the parent's barrier merge replays
-bit-identical packets whether they travelled as frames or as pickles.
+stamps, packet-train counts, per-message byte sizes, control value
+*types* (``bool`` vs ``int``) all round-trip, so the parent's barrier
+merge replays bit-identical packets whether they travelled as frames or
+as pickles.
 
 Decoded batch columns are numpy views over the frame buffer — pass a
 writable buffer (``bytearray``, as :meth:`SpscRing.read` returns) so the
@@ -108,6 +110,7 @@ def encode_packets(packets: list[Packet]) -> bytes:
     pkt_dst = np.empty(n_packets, dtype=np.int32)
     pkt_seq = np.empty(n_packets, dtype=np.int64)
     pkt_ack = np.empty(n_packets, dtype=np.int64)
+    pkt_count = np.empty(n_packets, dtype=np.int32)
     pkt_nenv = np.empty(n_packets, dtype=np.int32)
 
     env_dest: list[int] = []
@@ -132,6 +135,7 @@ def encode_packets(packets: list[Packet]) -> bytes:
         pkt_dst[i] = pkt.hop_dest
         pkt_seq[i] = pkt.seq
         pkt_ack[i] = pkt.ack
+        pkt_count[i] = pkt.count
         pkt_nenv[i] = len(pkt.envelopes)
         for env in pkt.envelopes:
             env_dest.append(env.dest)
@@ -208,7 +212,7 @@ def encode_packets(packets: list[Packet]) -> bytes:
                      len(ctl_arity), len(ctl_types)),
         bytes([len(schema_bytes)]), schema_bytes,
         pkt_src.tobytes(), pkt_dst.tobytes(), pkt_seq.tobytes(),
-        pkt_ack.tobytes(), pkt_nenv.tobytes(),
+        pkt_ack.tobytes(), pkt_count.tobytes(), pkt_nenv.tobytes(),
         np.asarray(env_dest, dtype=np.int32).tobytes(),
         np.asarray(env_kind, dtype=np.uint8).tobytes(),
         np.asarray(env_size, dtype=np.int64).tobytes(),
@@ -247,6 +251,7 @@ def decode_packets(buf) -> list[Packet]:
     pkt_dst, off = _take(buf, i32, n_packets, off)
     pkt_seq, off = _take(buf, i64, n_packets, off)
     pkt_ack, off = _take(buf, i64, n_packets, off)
+    pkt_count, off = _take(buf, i32, n_packets, off)
     pkt_nenv, off = _take(buf, i32, n_packets, off)
     env_dest, off = _take(buf, i32, n_env, off)
     env_kind, off = _take(buf, u8, n_env, off)
@@ -329,6 +334,7 @@ def decode_packets(buf) -> list[Packet]:
                 envelopes=envelopes,
                 seq=int(pkt_seq[i]),
                 ack=int(pkt_ack[i]),
+                count=int(pkt_count[i]),
             )
         )
     return packets

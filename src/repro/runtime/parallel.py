@@ -110,7 +110,7 @@ import numpy as np
 from repro.comm.message import Packet
 from repro.core.batch import SharedArrayBlock, share_state_arrays
 from repro.errors import ConfigurationError, TraversalError, WorkerCrash
-from repro.runtime.durability import collect_rank_section
+from repro.runtime.durability import pack_rank_section
 from repro.runtime.packet_codec import (
     UnframeablePayload,
     decode_ints,
@@ -160,12 +160,15 @@ class _StubNetwork:
     injection and delivery scheduling are parent-side — so their mailboxes
     get this collector instead; :meth:`take` cuts the emission-ordered
     stream into the per-phase buckets the parent's barrier merge replays.
+    The parent replays them into its fabric unchanged, so the stub takes
+    packet trains exactly when that fabric does.
     """
 
-    __slots__ = ("_packets",)
+    __slots__ = ("_packets", "packet_trains")
 
-    def __init__(self) -> None:
+    def __init__(self, fabric) -> None:
         self._packets: list[Packet] = []
+        self.packet_trains = fabric.packet_trains
 
     def send_packet(self, packet: Packet) -> None:
         self._packets.append(packet)
@@ -414,7 +417,7 @@ def _worker_main(
     the command arrived on.
     """
     try:
-        stub = _StubNetwork()
+        stub = _StubNetwork(engine.network)
         for r in owned:
             engine.mailboxes[r].network = stub
         snaps: dict[int, dict] = {}
@@ -737,12 +740,13 @@ def _worker_replay(
 
 def _worker_durable(
     engine: "SimulationEngine", owned: list[int], snaps: dict[int, dict]
-) -> dict[int, dict]:
-    """Collect the owned ranks' durable epoch sections (full restartable
+) -> dict[int, bytes]:
+    """Pack the owned ranks' durable epoch sections (full restartable
     state, crossing the pipe — unlike recovery snapshots, durable epochs
-    must survive the death of every process)."""
+    must survive the death of every process).  Packed here, so the
+    workers pickle their ranks in parallel and the parent stores bytes."""
     return {
-        r: collect_rank_section(engine, r, recovery_snap=snaps.get(r))
+        r: pack_rank_section(engine, r, recovery_snap=snaps.get(r))
         for r in owned
     }
 
@@ -1261,7 +1265,7 @@ class WorkerSupervisor:
         self._recoveries: list[list] = [[] for _ in range(p)]
         self._completed_tick = 0
         #: stub for parent-absorbed ranks (degraded mode).
-        self._stub = _StubNetwork()
+        self._stub = _StubNetwork(engine.network)
         self._absorbed: list[int] = []
         self._parent_snaps: dict[int, dict] = {}
         # supervision stats, folded into TraversalStats at finalize
@@ -1455,14 +1459,14 @@ class WorkerSupervisor:
                 waves = part_w
         return counters, states, waves
 
-    def durable_capture(self) -> list[dict]:
-        """Gather every rank's durable epoch section from its owner (or
+    def durable_capture(self) -> list[bytes]:
+        """Gather every rank's packed durable epoch section from its owner (or
         the parent, for absorbed ranks) for
         :meth:`~repro.runtime.durability.DurabilityManager.write_epoch`.
         Runs at the same barrier position as the sequential collection —
         after the tick's flush/drain, before the stop checks — so the
         captured state is bit-identical to a ``workers=1`` epoch."""
-        sections: dict[int, dict] = {}
+        sections: dict[int, bytes] = {}
         outs = self._gather(
             ("durable",),
             lambda ranks: _worker_durable(self.engine, ranks, self._parent_snaps),
@@ -1594,7 +1598,7 @@ class WorkerSupervisor:
         arrival volume so heavy ticks aren't misclassified as hangs."""
         if self.timeout is None:
             return None
-        total = sum(len(a) for a in arrivals)
+        total = sum(pkt.count for a in arrivals for pkt in a)
         return self.timeout * max(1.0, total / _DEADLINE_PACKETS)
 
 
@@ -1766,7 +1770,7 @@ class PoolRanks:
     def queue_lengths(self) -> list[int]:
         return [rep.queue_len for rep in self.reports]
 
-    def durable_sections(self) -> list[dict]:
+    def durable_sections(self) -> list[bytes]:
         return self.supervisor.durable_capture()
 
     def final(self) -> tuple[list, int | None, list]:

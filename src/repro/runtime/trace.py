@@ -48,7 +48,7 @@ class TickSample:
     tick: int
     time_us: float  # cumulative simulated time at tick end
     queued_visitors: int  # sum of local queue depths across ranks
-    packets_in_flight: int
+    packets_in_flight: int  # logical packets: a packet train counts its count
     visits_this_tick: int
     # Reliable-delivery / fault-injection activity (zero on plain fabric).
     retransmits: int = 0

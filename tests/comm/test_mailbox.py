@@ -1,6 +1,6 @@
 """Tests for the routed, aggregating mailbox."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -268,9 +268,11 @@ _CONTROL_BYTES = 28
 
 
 class _RecordingNetwork(Network):
-    """Records each packet as (hop_dest, per-message contents, wire bytes);
-    per-message contents flatten batch envelopes, so envelope boundaries
-    inside a packet are not compared."""
+    """An ordered fabric that records each packet as (hop_dest,
+    per-message contents, wire bytes); per-message contents flatten batch
+    envelopes, so envelope boundaries inside a packet are not compared."""
+
+    packet_trains = False
 
     def __init__(self, p):
         super().__init__(p)
@@ -278,10 +280,33 @@ class _RecordingNetwork(Network):
 
     def send_packet(self, packet):
         super().send_packet(packet)
+        assert packet.count == 1
         self.log.append((packet.hop_dest, _messages(packet.envelopes), packet.wire_bytes))
 
 
-def _messages(envelopes):
+class _TrainRecordingNetwork(_RecordingNetwork):
+    """An order-free fabric that expands each packet train into its
+    ``count`` logical packets (all full, so equal message shares) and
+    records those."""
+
+    packet_trains = True
+
+    def send_packet(self, packet):
+        Network.send_packet(self, packet)
+        sized = _sized_messages(packet.envelopes)
+        share, rem = divmod(len(sized), packet.count)
+        assert rem == 0 and share > 0
+        wires = []
+        for i in range(0, len(sized), share):
+            chunk = sized[i:i + share]
+            wires.append(PACKET_HEADER_BYTES
+                         + sum(size + ENVELOPE_HEADER_BYTES for _, size in chunk))
+            self.log.append((packet.hop_dest, [m for m, _ in chunk], wires[-1]))
+        assert packet.wire_bytes == sum(wires)
+
+
+def _sized_messages(envelopes):
+    """Per-message (contents, payload size) pairs of an envelope list."""
     from repro.core.batch import VisitorBatch
 
     out = []
@@ -289,12 +314,25 @@ def _messages(envelopes):
         if isinstance(env.payload, VisitorBatch):
             b = env.payload
             assert len(b) == env.count
-            out.extend((env.dest, KIND_VISITOR, v, p)
+            out.extend(((env.dest, KIND_VISITOR, v, p), env.size_bytes)
                        for v, p in zip(b.vertices.tolist(), b.payloads.tolist(), strict=True))
         elif env.kind == KIND_VISITOR:
-            out.append((env.dest, KIND_VISITOR, *env.payload))
+            out.append(((env.dest, KIND_VISITOR, *env.payload), env.size_bytes))
         else:
-            out.append((env.dest, KIND_CONTROL, env.payload))
+            out.append(((env.dest, KIND_CONTROL, env.payload), env.size_bytes))
+    return out
+
+
+def _messages(envelopes):
+    return [m for m, _ in _sized_messages(envelopes)]
+
+
+def _per_hop(log):
+    """A packet log as each hop's packet sequence: what an order-free
+    fabric preserves."""
+    out = {}
+    for entry in log:
+        out.setdefault(entry[0], []).append(entry)
     return out
 
 
@@ -365,40 +403,54 @@ class _PerMessageModel:
             self.flush_hop(hop)
 
 
+_ORACLE_ARGS = dict(
+    topo_name=st.sampled_from(["direct", "2d", "3d"]),
+    rank=st.integers(0, 11),
+    agg=st.integers(1, 20),
+    cap=st.one_of(st.none(), st.integers(1, 80)),
+    ops=_oracle_ops(),
+)
+
+
 class TestSegmentPassOracle:
     """Every batch entry point (send_batch, send_stream, forwarded runs in
     receive) against per-visitor sends on a twin mailbox: the packets handed
-    to the network, their order, wire bytes, every counter, the flow-control
-    ledger and the spill pager's cursors must match — and match an
-    independent per-message model."""
+    to the network, wire bytes, every counter, the flow-control ledger and
+    the spill pager's state must match — and match an independent
+    per-message model.  On an ordered fabric the packets' global order
+    must match too; on an order-free one the batch side ships packet
+    trains, and each hop's expanded packet sequence must match."""
 
     @staticmethod
-    def _twin(topo, rank, agg, cap):
+    def _twin(topo, rank, agg, cap, trains):
         from repro.memory.device import dram
         from repro.memory.spill import SpillPager
 
         twins = []
-        for _ in range(2):
-            net = _RecordingNetwork(topo.num_ranks)
+        for fabric in (_RecordingNetwork, _TrainRecordingNetwork if trains else _RecordingNetwork):
+            net = fabric(topo.num_ranks)
             pager = SpillPager(page_size=64, device=dram(), cache_pages=2) if cap else None
             twins.append((net, Mailbox(rank, topo, net, aggregation_size=agg,
                                        capacity_bytes=cap, spill=pager)))
         return twins
 
     @staticmethod
-    def _state(net, box):
+    def _state(net, box, trains):
         snap = box.snapshot_state()
         snap["buffers"] = {h: _messages(b) for h, b in snap.pop("buffers").items()}
         snap["buffer_order"] = list(box._buffers)
         snap["local"] = _messages(snap["local"])
         pager = box.spill.snapshot_state() if box.spill is not None else None
-        return net.log, snap, pager
+        return _per_hop(net.log) if trains else net.log, snap, pager
 
     @staticmethod
-    def _check_model(model, net, box):
+    def _check_model(model, net, box, trains):
         from repro.memory.spill import NS_MAILBOX
 
-        assert net.log == model.log
+        if trains:
+            assert _per_hop(net.log) == _per_hop(model.log)
+        else:
+            assert net.log == model.log
         assert {k: getattr(box, k) for k in model.counters} == model.counters
         assert {h: _messages(b) for h, b in box._buffers.items()} == {
             h: [m for m, _ in b] for h, b in model.buffers.items()
@@ -408,15 +460,25 @@ class TestSegmentPassOracle:
             assert box.spill._write_cursor[NS_MAILBOX] == model.counters["bp_spilled_bytes"]
             assert box.spill._read_cursor[NS_MAILBOX] == model.counters["bp_unspilled_bytes"]
 
-    @given(
-        topo_name=st.sampled_from(["direct", "2d", "3d"]),
-        rank=st.integers(0, 11),
-        agg=st.integers(1, 20),
-        cap=st.one_of(st.none(), st.integers(1, 80)),
-        ops=_oracle_ops(),
-    )
+    @given(**_ORACLE_ARGS)
     @settings(max_examples=300)
     def test_matches_per_visitor_sends(self, topo_name, rank, agg, cap, ops):
+        self._drive(topo_name, rank, agg, cap, ops, trains=False)
+
+    @given(**_ORACLE_ARGS)
+    @example(topo_name="direct", rank=0, agg=1, cap=None, ops=[("batch", 1, 2)])
+    # Two hops whose first packets read back different spill (24 and 64
+    # bytes): only the stream order of those read-backs puts the spill
+    # log's split where the per-visitor sends put it, so the pager's page
+    # hits catch a train that reads back in hop order.
+    @example(topo_name="direct", rank=0, agg=4, cap=40,
+             ops=[("send", 1, KIND_CONTROL), ("send", 1, KIND_CONTROL),
+                  ("stream", [2, 2, 2, 2, 1, 1])])
+    @settings(max_examples=300)
+    def test_trains_match_per_visitor_sends(self, topo_name, rank, agg, cap, ops):
+        self._drive(topo_name, rank, agg, cap, ops, trains=True)
+
+    def _drive(self, topo_name, rank, agg, cap, ops, trains):
         import numpy as np
 
         from repro.comm.message import Envelope, Packet
@@ -424,7 +486,7 @@ class TestSegmentPassOracle:
         from repro.core.batch import VisitorBatch
 
         topo = make_topology(topo_name, 12)
-        (net_a, ref), (net_b, box) = self._twin(topo, rank, agg, cap)
+        (net_a, ref), (net_b, box) = self._twin(topo, rank, agg, cap, trains)
         model = _PerMessageModel(topo, rank, agg, cap)
         vid = 0
 
@@ -482,9 +544,9 @@ class TestSegmentPassOracle:
             else:
                 for m in (ref, box, model):
                     m.flush()
-            assert self._state(net_a, ref) == self._state(net_b, box)
-            self._check_model(model, net_b, box)
+            assert self._state(net_a, ref, trains) == self._state(net_b, box, trains)
+            self._check_model(model, net_b, box, trains)
         for m in (ref, box, model):
             m.flush()
-        assert self._state(net_a, ref) == self._state(net_b, box)
-        self._check_model(model, net_b, box)
+        assert self._state(net_a, ref, trains) == self._state(net_b, box, trains)
+        self._check_model(model, net_b, box, trains)

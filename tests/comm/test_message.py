@@ -45,3 +45,11 @@ class TestPacket:
             envelopes=[Envelope(1, KIND_VISITOR, None, 8) for _ in range(16)],
         )
         assert fat.wire_bytes < sum(p.wire_bytes for p in one_each)
+
+    def test_train_charges_one_header_per_packet(self):
+        """A train of k packets costs exactly its k packets' wire bytes."""
+        envs = [Envelope(1, KIND_VISITOR, None, 8) for _ in range(6)]
+        singles = [Packet(src=0, hop_dest=1, envelopes=envs[i:i + 2]) for i in range(0, 6, 2)]
+        train = Packet(src=0, hop_dest=1, envelopes=envs, count=3)
+        assert train.wire_bytes == sum(p.wire_bytes for p in singles)
+        assert train.wire_bytes == 3 * PACKET_HEADER_BYTES + 6 * (8 + ENVELOPE_HEADER_BYTES)

@@ -7,9 +7,9 @@ from repro.comm.network import Network
 from repro.errors import CommunicationError
 
 
-def _packet(src, dest, n=1):
+def _packet(src, dest, n=1, count=1):
     envs = [Envelope(dest=dest, kind=KIND_VISITOR, payload=i, size_bytes=8) for i in range(n)]
-    return Packet(src=src, hop_dest=dest, envelopes=envs)
+    return Packet(src=src, hop_dest=dest, envelopes=envs, count=count)
 
 
 class TestDelivery:
@@ -57,6 +57,15 @@ class TestIdleTracking:
         net.send_packet(_packet(0, 2))
         assert net.packets_in_flight() == 2
 
+    def test_trains_count_their_logical_packets(self):
+        net = Network(4)
+        net.send_packet(_packet(0, 1, n=6, count=3))
+        net.send_packet(_packet(0, 2))
+        assert net.packets_in_flight() == 4
+        assert not net.idle()
+        assert [len(a) for a in net.advance()] == [0, 1, 1, 0]
+        assert net.idle()
+
 
 class TestAccounting:
     def test_totals(self):
@@ -65,3 +74,10 @@ class TestAccounting:
         net.send_packet(p)
         assert net.total_packets == 1
         assert net.total_bytes == p.wire_bytes
+
+    def test_train_totals_count_logical_packets(self):
+        net = Network(2)
+        train = _packet(0, 1, n=4, count=2)
+        net.send_packet(train)
+        assert net.total_packets == 2
+        assert net.total_bytes == train.wire_bytes

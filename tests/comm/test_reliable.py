@@ -46,6 +46,16 @@ class TestValidation:
         with pytest.raises(CommunicationError):
             t.send_packet(visitor_packet(0, 5, "x"))
 
+    def test_trains_refused(self):
+        """Sequencing and fault draws are per packet: a mailbox never hands
+        this fabric a packet train."""
+        t = ReliableTransport(2)
+        assert not t.packet_trains
+        train = visitor_packet(0, 1, "x")
+        train.count = 2
+        with pytest.raises(CommunicationError, match="train"):
+            t.send_packet(train)
+
     def test_crash_requires_recovery_manager(self):
         plan = FaultPlan(crashes=(CrashEvent(tick=1, rank=0),))
         t = ReliableTransport(2, plan)

@@ -5,11 +5,16 @@ and ghost-filter behaviour can be observed directly, without any real graph
 algorithm in the way.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.algorithms.pagerank import PageRankVisitor
 from repro.core.traversal import run_traversal
 from repro.core.visitor import ROLE_GHOST, ROLE_MASTER, AsyncAlgorithm, Visitor
+from repro.core.batch_queue import ScalarHeapImage
+from repro.core.visitor_queue import HeapImage
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
 from repro.runtime.costmodel import EngineConfig
@@ -273,3 +278,77 @@ class TestFullyExternalStatePaging:
         g = DistributedGraph.build(rmat_small, 4)
         r = bfs(g, 0, config=EngineConfig(page_vertex_state=True))
         assert r.stats.total_cache_misses == 0
+
+
+class DictVisitor(Visitor):
+    """A visitor subclass without ``__slots__`` (instances carry a dict)."""
+
+    def __init__(self, vertex, note):
+        super().__init__(vertex)
+        self.note = note
+
+
+def _entries(heap):
+    """Heap entries as comparable plain values (class, slot values)."""
+    out = []
+    for *key, v in heap:
+        names = [n for k in type(v).__mro__[:-1] for n in k.__dict__.get("__slots__", ())]
+        state = tuple((n, getattr(v, n), type(getattr(v, n))) for n in names)
+        out.append((tuple(key), type(v), state, getattr(v, "__dict__", None)))
+    return out
+
+
+class TestHeapImage:
+    """Snapshots pickle column-wise and load back entry-for-entry equal."""
+
+    def _roundtrip(self, heap):
+        image = HeapImage(heap)
+        back = pickle.loads(pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(back) is HeapImage
+        assert _entries(back) == _entries(heap)
+        return back
+
+    def test_single_class_heap(self):
+        heap = [(-0.5 * i, i % 3, i, PageRankVisitor(i % 7, 0.5 * i, 0.85, 1e-4))
+                for i in range(50)]
+        back = self._roundtrip(heap)
+        assert back[3][3] is not heap[3][3]  # rebuilt, not shared
+
+    def test_one_slot_class_and_mixed_classes(self):
+        heap = [(0, i, i, TouchVisitor(i) if i % 2 else PageRankVisitor(i, 1.0, 0.85, 0.5))
+                for i in range(20)]
+        self._roundtrip(heap)
+        self._roundtrip([(0, i, i, TouchVisitor(i)) for i in range(5)])
+
+    def test_empty_heap(self):
+        assert self._roundtrip([]) == []
+
+    def test_dict_visitors_pickle_whole(self):
+        heap = [(0, 1, 1, DictVisitor(3, "a")), (0, 2, 2, TouchVisitor(4))]
+        back = self._roundtrip(heap)
+        assert back[0][3].note == "a"
+
+    def test_unset_slot_pickles_whole(self):
+        v = PageRankVisitor.__new__(PageRankVisitor)
+        v.vertex, v.amount = 1, 2.0
+        back = pickle.loads(pickle.dumps(HeapImage([(0, 1, 1, v)])))
+        assert (back[0][3].vertex, back[0][3].amount) == (1, 2.0)
+        assert not hasattr(back[0][3], "damping")
+
+    def test_scalar_heap_image(self):
+        """The batch path's heap pickles memo-free and loads back equal,
+        types included."""
+        heap = [(0.5 * i, i, i, i % 5, 0.25 * i, -i) for i in range(40)]
+        back = pickle.loads(pickle.dumps(ScalarHeapImage(heap)))
+        assert type(back) is ScalarHeapImage
+        assert back == heap
+        assert [tuple(map(type, e)) for e in back] == [tuple(map(type, e)) for e in heap]
+        assert pickle.loads(pickle.dumps(ScalarHeapImage())) == []
+
+    def test_snapshot_heap_is_an_image(self, hub_graph):
+        from repro.runtime.costmodel import laptop
+        from repro.runtime.engine import SimulationEngine
+
+        eng = SimulationEngine(hub_graph, TouchAll(), laptop())
+        snap = eng.ranks[0].snapshot_state()
+        assert isinstance(snap["heap"], HeapImage)

@@ -144,6 +144,23 @@ def test_pressure_cell(algorithm, graph):
     assert_bit_identical(algorithm, seq, par)
 
 
+@pytest.mark.parametrize("algorithm", ["bfs", "cc"])
+def test_timeline_cell(algorithm, graph):
+    """Traced timelines: object and batch at workers 1 and 2 agree on
+    every ``TickSample``.  The batch path ships packet trains on the plain
+    fabric (aggregation 4 makes them common here), and
+    ``packets_in_flight`` counts logical packets however they travel."""
+    run = RUNNERS[algorithm]
+    cfg = EngineConfig(trace_timeline=True, aggregation_size=4)
+    runs = [run(graph, batch=batch, workers=workers, config=cfg)
+            for workers in (1, 2) for batch in (False, True)]
+    assert any(s.packets_in_flight for s in runs[0].stats.timeline)
+    for other in runs[1:]:
+        for a, b in zip(DATA[algorithm](runs[0]), DATA[algorithm](other), strict=True):
+            assert np.array_equal(a, b)
+        assert _full_stats_key(runs[0].stats) == _full_stats_key(other.stats)
+
+
 def test_order_digests_identical(graph):
     """The per-tick order digests — the race detector's observable — are
     bit-identical between schedules, not just the final stats."""

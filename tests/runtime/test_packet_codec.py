@@ -37,8 +37,8 @@ def _round_trip(packets):
 def assert_packets_equal(a, b):
     assert len(a) == len(b)
     for pa, pb in zip(a, b, strict=False):
-        assert (pa.src, pa.hop_dest, pa.seq, pa.ack) == (
-            pb.src, pb.hop_dest, pb.seq, pb.ack)
+        assert (pa.src, pa.hop_dest, pa.seq, pa.ack, pa.count) == (
+            pb.src, pb.hop_dest, pb.seq, pb.ack, pb.count)
         assert len(pa.envelopes) == len(pb.envelopes)
         for ea, eb in zip(pa.envelopes, pb.envelopes, strict=False):
             assert (ea.dest, ea.kind, ea.size_bytes, ea.count) == (
@@ -87,6 +87,67 @@ def test_multi_packet_multi_envelope_round_trip():
         ], seq=0, ack=3),
     ]
     assert_packets_equal(packets, _round_trip(packets))
+
+
+def test_train_round_trip_keeps_count_and_wire_bytes():
+    train = Packet(src=2, hop_dest=0, envelopes=[
+        Envelope(dest=0, kind=0, payload=_batch(7, seed=3), size_bytes=16, count=7),
+        Envelope(dest=1, kind=0, payload=_batch(9, seed=4), size_bytes=16, count=9),
+    ], count=4)
+    sent = train.wire_bytes
+    (out,) = _round_trip([train])
+    assert out.count == 4
+    assert out.wire_bytes == sent == 4 * 32 + 16 * (16 + 8)
+    assert_packets_equal([train], [out])
+
+
+def _stream(n, seed):
+    b = _batch(n, seed=seed)
+    return np.random.default_rng(seed).integers(0, 4, n), b
+
+
+def test_trains_mixed_with_singles_in_tick_buckets_and_arrival_frames():
+    """What a batch tick really ships: a worker's phase-A bucket (segment
+    pass trains), its phase-B bucket (end-of-tick flush singles, control
+    packets among them), and the parent's per-rank arrival frames that
+    interleave both from several senders.  Every list round-trips exactly,
+    and the decoded arrivals deliver what the originals deliver."""
+    from repro.comm.mailbox import Mailbox
+    from repro.comm.message import KIND_CONTROL
+    from repro.comm.network import Network
+    from repro.comm.routing import DirectTopology
+    from repro.runtime.parallel import _StubNetwork
+
+    p = 4
+    net = Network(p)
+    topo = DirectTopology(p)
+    buckets = []
+    for src in range(p):
+        stub = _StubNetwork(net)
+        box = Mailbox(src, topo, stub, aggregation_size=4)
+        box.send_stream(*_stream(40, seed=src), 16)
+        phase_a = stub.take()
+        box.send((src + 1) % p, KIND_CONTROL, ("probe", src, True), 8)
+        box.flush()
+        phase_b = stub.take()
+        assert any(pkt.count > 1 for pkt in phase_a)
+        assert all(pkt.count == 1 for pkt in phase_b)
+        buckets += [phase_a, phase_b]
+        for pkts in (phase_a, phase_b):
+            assert_packets_equal(pkts, _round_trip(pkts))
+            for pkt in pkts:
+                net.send_packet(pkt)
+    arrivals = net.advance()
+    for r in range(p):
+        assert {pkt.count > 1 for pkt in arrivals[r]} == {False, True}
+        decoded = _round_trip(arrivals[r])
+        assert_packets_equal(arrivals[r], decoded)
+        ref = Mailbox(r, topo, Network(p), aggregation_size=4)
+        twin = Mailbox(r, topo, Network(p), aggregation_size=4)
+        got = [(e.dest, e.kind, e.count, e.payload if e.kind == KIND_CONTROL
+                else e.payload.vertices.tolist()) for e in ref.receive(arrivals[r])]
+        assert got == [(e.dest, e.kind, e.count, e.payload if e.kind == KIND_CONTROL
+                        else e.payload.vertices.tolist()) for e in twin.receive(decoded)]
 
 
 def test_empty_packet_list():
