@@ -165,10 +165,11 @@ class PageCache:
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Full cache state for supervision images: the LRU order (oldest
-        first) plus every counter, so a respawned worker's cache resumes
-        with bit-identical hit/miss/eviction evolution.  Taken at tick
-        barriers, where the epoch counters are freshly drained."""
+        """Full cache state for full-scope rank images (supervision images
+        and durable sections): the LRU order (oldest first) plus every
+        counter, so a restored cache resumes with bit-identical
+        hit/miss/eviction evolution.  Taken at tick barriers, where the
+        epoch counters are freshly drained."""
         return {
             "lru": list(self._lru),
             "hits": self.hits,

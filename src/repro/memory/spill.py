@@ -84,10 +84,11 @@ class SpillPager:
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Full pager state for supervision images: log cursors, byte
-        totals and the read-back cache, so a respawned worker's spill
-        charges evolve bit-identically.  Taken at tick barriers, where
-        the epoch write accumulator is freshly drained."""
+        """Full pager state for full-scope rank images (supervision images
+        and durable sections): log cursors, byte totals and the read-back
+        cache, so a restored pager's spill charges evolve bit-identically.
+        Taken at tick barriers, where the epoch write accumulator is
+        freshly drained."""
         return {
             "write_cursor": list(self._write_cursor),
             "read_cursor": list(self._read_cursor),

@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import CheckpointCorruptionError, ConfigurationError
+from repro.runtime import rank_image
 from repro.utils.rng import resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,14 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.trace import TraversalStats
 
 #: On-disk epoch format version (bumped on incompatible layout changes;
-#: 2: the ``ranks`` section holds one pickled blob per rank).
-FORMAT_VERSION = 2
+#: 2: the ``ranks`` section holds one pickled blob per rank; 3: each blob
+#: is a ``(full rank image, recovery part)`` pair, see
+#: :func:`repro.runtime.rank_image.pack`).
+FORMAT_VERSION = 3
 
 #: Simulated bytes of one rank's durable section beyond its crash-recovery
 #: image (manifest entry, section framing, pager/cache/ledger state).
 DURABLE_SECTION_OVERHEAD_BYTES = 256
 
-#: Sections every valid epoch must carry.
+#: The sections of a valid epoch; an entry with another name is malformed.
 REQUIRED_SECTIONS = frozenset(
     ("loop", "stats", "ranks", "network", "rng", "digests", "recovery")
 )
@@ -84,6 +87,28 @@ _CHECKSUM_BYTES = 16
 #: for files left by *other* crashed processes).
 _LIVE_TMP_FILES: set[str] = set()
 _ATEXIT_REGISTERED = False
+
+
+def _checksum(name: str, blob: bytes) -> str:
+    """A section's blake2b, keyed by its name: a manifest whose entries
+    swap names fails verification instead of unpickling the wrong
+    section."""
+    return hashlib.blake2b(
+        blob, digest_size=_CHECKSUM_BYTES, key=name.encode()
+    ).hexdigest()
+
+
+def _well_formed(entry) -> bool:
+    """Whether a manifest section entry has a known name, a string
+    checksum and a non-negative int offset and length."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and entry["name"] in REQUIRED_SECTIONS
+        and isinstance(entry.get("blake2b"), str)
+        and all(type(entry.get(k)) is int and entry[k] >= 0
+                for k in ("offset", "length"))
+    )
 
 
 def _cleanup_live_tmp() -> None:
@@ -222,91 +247,6 @@ class DurableFaultPlan:
 
 
 # ---------------------------------------------------------------------- #
-# Per-rank section capture / restore (shared with the parallel executor)
-# ---------------------------------------------------------------------- #
-def _rank_storage_injector(engine: "SimulationEngine", r: int):
-    """The rank's storage fault injector, if any.  The *same* object is
-    shared by the rank's CSR cache and spill cache, so capture/restore
-    must touch it exactly once per rank."""
-    cache = engine.caches[r]
-    if cache is not None and cache.fault_injector is not None:
-        return cache.fault_injector
-    spill = engine.spills[r]
-    if spill is not None and spill.cache.fault_injector is not None:
-        return spill.cache.fault_injector
-    return None
-
-
-def collect_rank_section(
-    engine: "SimulationEngine", r: int, recovery_snap: dict | None = None
-) -> dict:
-    """One rank's durable section: queue, spill ledger, mailbox (with its
-    flow-control ledger), detector, CSR cache, spill pager, storage-fault
-    RNG stream, plus the rank's in-memory crash-recovery snapshot so the
-    simulated recovery epoch survives the host restart.  Shared by the
-    sequential writer and the parallel workers' ``durable`` command (each
-    worker collects its own ranks; the section never depends on
-    parent-side state)."""
-    rank = engine.ranks[r]
-    sec: dict = {
-        "queue": rank.snapshot_state(),
-        "spilled_visitors": rank.spill_ledger,
-        "mailbox": engine.mailboxes[r].snapshot_state(),
-    }
-    if engine.detectors is not None:
-        sec["detector"] = engine.detectors[r].snapshot_state()
-    if engine.caches[r] is not None:
-        sec["cache"] = engine.caches[r].snapshot_state()
-    if engine.spills[r] is not None:
-        sec["spill"] = engine.spills[r].snapshot_state()
-    injector = _rank_storage_injector(engine, r)
-    if injector is not None:
-        sec["storage_injector"] = injector.snapshot_state()
-    if recovery_snap is not None:
-        sec["recovery_snap"] = {
-            k: recovery_snap[k]
-            for k in ("queue", "mailbox", "detector")
-            if k in recovery_snap
-        }
-    return sec
-
-
-def pack_rank_section(
-    engine: "SimulationEngine", r: int, recovery_snap: dict | None = None
-) -> bytes:
-    """:func:`collect_rank_section`, pickled: the form an epoch stores.
-    Under ``workers > 1`` each worker packs its own ranks, so a rank's
-    state is pickled once, by its owner, and the parent only stores the
-    bytes."""
-    return pickle.dumps(
-        collect_rank_section(engine, r, recovery_snap),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def restore_rank_section(engine: "SimulationEngine", r: int, sec: dict) -> None:
-    """Reinstall one rank's durable section in place.
-
-    Order matters: the mailbox restore re-spills any beyond-cap buffer
-    bytes into the pager (see :meth:`Mailbox.restore_state`), so the spill
-    pager's exact recorded state is restored *last*, overriding that
-    re-spill's cursor and epoch-accumulator side effects with the
-    bit-exact pre-crash pager state.
-    """
-    engine.ranks[r].restore_state(sec["queue"])
-    engine.ranks[r].spill_ledger = sec["spilled_visitors"]
-    engine.mailboxes[r].restore_state(sec["mailbox"])
-    if "detector" in sec:
-        engine.detectors[r].restore_state(sec["detector"])
-    if "cache" in sec:
-        engine.caches[r].restore_state(sec["cache"])
-    if "spill" in sec:
-        engine.spills[r].restore_state(sec["spill"])
-    if "storage_injector" in sec:
-        _rank_storage_injector(engine, r).restore_state(sec["storage_injector"])
-
-
-# ---------------------------------------------------------------------- #
 # Resume payload
 # ---------------------------------------------------------------------- #
 @dataclass
@@ -322,7 +262,7 @@ class ResumeState:
     #: recovery section ({"epoch_tick", "state_bytes", "log", "transport",
     #: counter fields}) or None when the run had no recovery manager.
     recovery: dict | None
-    #: per-rank worker-local crash-recovery snapshots (or None entries).
+    #: per-rank recovery-scope images of the recovery epoch (or None).
     rank_recovery_snaps: list
 
 
@@ -430,7 +370,7 @@ class DurabilityManager:
         tick: int,
         loop: dict,
         stats: "TraversalStats",
-        rank_sections: list[bytes] | None = None,
+        rank_sections: list[bytes],
     ) -> None:
         """Atomically publish the epoch ending at ``tick``.
 
@@ -440,23 +380,13 @@ class DurabilityManager:
         itself, so final stats — including ``durable_io_us``, which rides
         the simulated clock — land identical to an uninterrupted run's.
 
-        ``rank_sections`` is the parallel executor's worker-packed
-        sections (:func:`pack_rank_section`); ``None`` (sequential) packs
-        them live.
+        ``rank_sections`` holds each rank's packed section
+        (:func:`~repro.runtime.rank_image.pack`), from the rank executor.
         """
         eng = self.engine
-        p = eng.graph.num_partitions
         stats.durable_checkpoints += 1
         stats.durable_bytes += int(sum(self._last_sim_bytes))
         stats.durable_io_us += self._last_io_us
-        if rank_sections is None:
-            rec = eng.recovery
-            rank_sections = [
-                pack_rank_section(
-                    eng, r, recovery_snap=(rec._snaps[r] if rec is not None else None)
-                )
-                for r in range(p)
-            ]
         digests = None
         if eng._record_digests:
             digests = {
@@ -494,9 +424,7 @@ class DurabilityManager:
                 "name": name,
                 "offset": offset,
                 "length": len(blob),
-                "blake2b": hashlib.blake2b(
-                    blob, digest_size=_CHECKSUM_BYTES
-                ).hexdigest(),
+                "blake2b": _checksum(name, blob),
             })
             offset += len(blob)
         manifest = {
@@ -524,7 +452,7 @@ class DurabilityManager:
     def _recovery_section(self) -> dict | None:
         """Parent-side remainder of the in-memory recovery epoch: the
         transport channel snapshots, delivery logs and counters.  The
-        rank-local halves ride each rank's section (``recovery_snap``)."""
+        recovery-scope rank images ride each rank's section."""
         rec = self.engine.recovery
         if rec is None:
             return None
@@ -533,9 +461,7 @@ class DurabilityManager:
             "epoch_tick": rec.epoch_tick,
             "state_bytes": list(rec._state_bytes),
             "log": [dict(rec._log[r]) for r in range(p)],
-            "transport": [
-                (rec._snaps[r] or {}).get("transport") for r in range(p)
-            ],
+            "transport": list(rec._transport),
             "checkpoints_taken": rec.checkpoints_taken,
             "checkpoint_bytes": rec.checkpoint_bytes,
             "recoveries": rec.recoveries,
@@ -670,17 +596,19 @@ class DurabilityManager:
         try:
             with open(self._path(tick, _MANIFEST_SUFFIX), "rb") as fh:
                 manifest = json.loads(fh.read().decode("utf-8"))
-        except (OSError, ValueError, UnicodeDecodeError):
+        except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_VERSION:
             return None
         entries = manifest.get("sections")
-        if not isinstance(entries, list):
+        if not isinstance(entries, list) or not all(map(_well_formed, entries)):
             return None
-        names = {e.get("name") for e in entries if isinstance(e, dict)}
-        if not REQUIRED_SECTIONS <= names:
+        if {e["name"] for e in entries} != REQUIRED_SECTIONS:
             return None
-        if manifest.get("config") != self.config_key():
+        config = manifest.get("config")
+        if not isinstance(config, dict):
+            return None
+        if config != self.config_key():
             raise ConfigurationError(
                 f"durable epoch {tick} in {self.dir!r} was written by a "
                 f"different run configuration; refusing to resume from it "
@@ -693,20 +621,12 @@ class DurabilityManager:
         except OSError:
             return None
         blobs: dict = {}
-        try:
-            for entry in entries:
-                off, length = entry["offset"], entry["length"]
-                blob = data[off:off + length]
-                if len(blob) != length:
-                    return None
-                digest = hashlib.blake2b(
-                    blob, digest_size=_CHECKSUM_BYTES
-                ).hexdigest()
-                if digest != entry["blake2b"]:
-                    return None
-                blobs[entry["name"]] = blob
-        except (KeyError, TypeError, ValueError):
-            return None
+        for entry in entries:
+            off, length = entry["offset"], entry["length"]
+            blob = data[off:off + length]
+            if len(blob) != length or _checksum(entry["name"], blob) != entry["blake2b"]:
+                return None
+            blobs[entry["name"]] = blob
         return blobs
 
     def load_latest(self) -> ResumeState | None:
@@ -740,10 +660,9 @@ class DurabilityManager:
     def _install(self, tick: int, payload: dict, skipped: int) -> ResumeState:
         """Reinstall a verified epoch into the live engine."""
         eng = self.engine
-        p = eng.graph.num_partitions
         rank_sections = payload["ranks"]
-        for r in range(p):
-            restore_rank_section(eng, r, rank_sections[r])
+        for r, (image, _) in enumerate(rank_sections):
+            rank_image.restore(eng, r, image)
         eng.network.restore_full(payload["network"])
         straggler_snap = payload["rng"]["straggler"]
         if straggler_snap is not None and eng.straggler is not None:
@@ -763,7 +682,5 @@ class DurabilityManager:
             loop=payload["loop"],
             stats=stats,
             recovery=payload["recovery"],
-            rank_recovery_snaps=[
-                sec.get("recovery_snap") for sec in rank_sections
-            ],
+            rank_recovery_snaps=[recovery for _, recovery in rank_sections],
         )

@@ -51,6 +51,7 @@ from repro.memory.device import dram
 from repro.memory.faults import StorageFaultInjector
 from repro.memory.page_cache import PageCache
 from repro.memory.spill import SpillPager
+from repro.runtime import rank_image
 from repro.runtime.costmodel import STORAGE_NVRAM, EngineConfig, MachineModel
 from repro.runtime.durability import DurabilityManager
 from repro.runtime.parallel import (
@@ -279,9 +280,9 @@ class SimulationEngine:
             self.recovery = RecoveryManager(self)
             self.network.recovery = self.recovery
 
-        #: Worker-local crash-recovery snapshots re-seeded into freshly
-        #: forked workers after a durable resume (rank -> {"queue",
-        #: "mailbox", "detector"} snap); empty otherwise — INTERNALS §13.
+        #: Worker-local crash-recovery images re-seeded into freshly
+        #: forked workers after a durable resume (rank -> recovery-scope
+        #: rank image); empty otherwise — INTERNALS §13.
         self._resume_recovery_snaps: dict[int, dict] = {}
         #: Durable on-disk epoch writer/reader (host-crash recovery);
         #: present only when ``durable_dir`` is configured.
@@ -617,8 +618,8 @@ class SimulationEngine:
         Transplanted, never realigned: re-checkpointing at the resume tick
         would shorten a later simulated crash's replay window and change
         its ``recovery_us`` — breaking bit-identity with the uninterrupted
-        run.  Sequentially, each rank's full snapshot half rides
-        ``resume.rank_recovery_snaps``; under ``workers > 1`` those halves
+        run.  Sequentially, each rank's recovery-scope image rides
+        ``resume.rank_recovery_snaps``; under ``workers > 1`` those images
         are re-seeded worker-side via ``_resume_recovery_snaps`` and the
         parent keeps only the transport snapshots, mirroring
         :class:`~repro.runtime.parallel.ParallelRecoveryManager`.
@@ -634,11 +635,9 @@ class SimulationEngine:
         rec.checkpoints_taken = sec["checkpoints_taken"]
         rec.checkpoint_bytes = sec["checkpoint_bytes"]
         rec.recoveries = sec["recoveries"]
-        parallel = self.workers > 1
-        for r in range(p):
-            snap = {} if parallel else dict(resume.rank_recovery_snaps[r] or {})
-            snap["transport"] = sec["transport"][r]
-            rec._snaps[r] = snap
+        rec._transport = list(sec["transport"])
+        if self.workers == 1:
+            rec._images = list(resume.rank_recovery_snaps)
 
     def _order_digest_hex(self) -> str | None:
         """Whole-run schedule certificate: blake2b over the concatenated
@@ -901,8 +900,11 @@ class _InProcessRanks:
     def queue_lengths(self) -> list[int]:
         return [rk.queue_length() for rk in self.engine.ranks]
 
-    def durable_sections(self) -> None:
-        return None  # the durability manager collects the live ranks
+    def durable_sections(self) -> list[bytes]:
+        eng = self.engine
+        rec = eng.recovery
+        return [rank_image.pack(eng, r, None if rec is None else rec._images[r])
+                for r in range(len(eng.ranks))]
 
     def final(self) -> tuple[list, int | None, list]:
         eng = self.engine

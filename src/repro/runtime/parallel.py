@@ -110,7 +110,7 @@ import numpy as np
 from repro.comm.message import Packet
 from repro.core.batch import SharedArrayBlock, share_state_arrays
 from repro.errors import ConfigurationError, TraversalError, WorkerCrash
-from repro.runtime.durability import pack_rank_section
+from repro.runtime import rank_image
 from repro.runtime.packet_codec import (
     UnframeablePayload,
     decode_ints,
@@ -124,7 +124,6 @@ from repro.runtime.recovery import (
     estimate_checkpoint_bytes,
     replay_price_us,
     replay_ticks,
-    restore_rank_snapshot,
 )
 from repro.runtime.shm_ring import RingIntegrityError, SpscRing
 from repro.runtime.trace import RankCounters, TraversalStats
@@ -605,29 +604,17 @@ def _worker_checkpoint(
 ) -> tuple[dict[int, int], dict[int, dict] | None]:
     """Snapshot the owned ranks' restartable state locally; ship only the
     simulated checkpoint byte sizes — unless ``ship`` (supervision
-    active), in which case full restore *images* cross the pipe too: the
-    crash-recovery snapshot plus everything a replacement process forked
-    from the parent cannot reconstruct (spill pager, caches, spill
-    ledger)."""
+    active), in which case full-scope rank images cross the pipe too:
+    everything a replacement process forked from the parent cannot
+    reconstruct."""
     out: dict[int, int] = {}
     images: dict[int, dict] | None = {} if ship else None
     for r in owned:
-        snap = {
-            "queue": engine.ranks[r].snapshot_state(),
-            "mailbox": engine.mailboxes[r].snapshot_state(),
-        }
-        if engine.detectors is not None:
-            snap["detector"] = engine.detectors[r].snapshot_state()
-        snaps[r] = snap
+        image = rank_image.capture(engine, r, full=ship)
+        snaps[r] = rank_image.recovery_part(image)
         out[r] = estimate_checkpoint_bytes(engine, r)
         if ship:
-            img = dict(snap)
-            img["spilled_visitors"] = engine.ranks[r].spill_ledger
-            if engine.caches[r] is not None:
-                img["cache"] = engine.caches[r].snapshot_state()
-            if engine.spills[r] is not None:
-                img["spill"] = engine.spills[r].snapshot_state()
-            images[r] = img
+            images[r] = image
     return out, images
 
 
@@ -660,14 +647,8 @@ def _adopt_images(
     owned = sorted(images)
     for r in owned:
         engine.mailboxes[r].network = stub
-        img = images[r]
-        if "spill" in img:
-            engine.spills[r].restore_state(img["spill"])
-        if "cache" in img:
-            engine.caches[r].restore_state(img["cache"])
-        restore_rank_snapshot(engine, r, img)
-        engine.ranks[r].spill_ledger = img["spilled_visitors"]
-        snaps[r] = {k: img[k] for k in ("queue", "mailbox", "detector") if k in img}
+        rank_image.restore(engine, r, images[r])
+        snaps[r] = rank_image.recovery_part(images[r])
     c0 = counter_snapshot(engine, owned)
     order = [r for r in engine._rank_order if r in images]
     recovered = 0
@@ -727,7 +708,7 @@ def _worker_replay(
             f"rank {r} crashed at tick {crash_tick} with no worker-side "
             f"checkpoint to restore"
         )
-    restore_rank_snapshot(engine, r, snap)
+    rank_image.restore(engine, r, snap)
     c0 = counter_snapshot(engine, (r,))
     per_tick_packets: list[list[Packet]] = []
     controls, replayed = replay_ticks(
@@ -741,14 +722,11 @@ def _worker_replay(
 def _worker_durable(
     engine: "SimulationEngine", owned: list[int], snaps: dict[int, dict]
 ) -> dict[int, bytes]:
-    """Pack the owned ranks' durable epoch sections (full restartable
-    state, crossing the pipe — unlike recovery snapshots, durable epochs
-    must survive the death of every process).  Packed here, so the
-    workers pickle their ranks in parallel and the parent stores bytes."""
-    return {
-        r: pack_rank_section(engine, r, recovery_snap=snaps.get(r))
-        for r in owned
-    }
+    """Pack the owned ranks' durable epoch sections (full-scope images,
+    crossing the pipe — durable epochs must survive the death of every
+    process).  Packed here, so the workers pickle their ranks in parallel
+    and the parent stores bytes."""
+    return {r: rank_image.pack(engine, r, snaps.get(r)) for r in owned}
 
 
 def finalize_ranks(
@@ -1621,23 +1599,19 @@ class ParallelRecoveryManager(RecoveryManager):
         super().__init__(engine)
         self.supervisor = supervisor
 
-    def _snapshot_ranks(self, tick: int) -> tuple[list[dict], list[int]]:
-        """Rank-local halves stay in the owning workers; the parent keeps
-        the transport snapshots."""
+    def _snapshot_ranks(self, tick: int) -> tuple[list[dict | None], list[int]]:
+        """Rank images stay in the owning workers; the parent keeps only
+        the transport snapshots (taken by the caller)."""
         sizes = self.supervisor.checkpoint(tick)
-        network = self.engine.network
         p = self.engine.graph.num_partitions
-        return (
-            [{"transport": network.snapshot_rank(r)} for r in range(p)],
-            [sizes[r] for r in range(p)],
-        )
+        return [None] * p, [sizes[r] for r in range(p)]
 
-    def _replay(self, r: int, snap: dict, crash_tick: int) -> tuple:
+    def _replay(self, r: int, crash_tick: int) -> tuple:
         """Replay in the owning worker; the parent restores the transport
-        half and interleaves, per replayed tick, the logged deliveries'
+        snapshot and interleaves, per replayed tick, the logged deliveries'
         transport notes with the worker's re-emitted sends."""
         eng = self.engine
-        eng.network.restore_rank(r, snap["transport"])
+        eng.network.restore_rank(r, self._transport[r])
         log = self._log[r]
         per_tick_packets, c0, c1, controls, replayed = self.supervisor.replay(
             r, self.epoch_tick, crash_tick,

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.comm.message import Packet
 from repro.errors import TraversalError
+from repro.runtime import rank_image
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import SimulationEngine
@@ -63,15 +64,6 @@ def estimate_checkpoint_bytes(engine: "SimulationEngine", r: int) -> int:
         + rank.queue_length() * engine.algorithm.visitor_bytes
         + ghosts * 8
     )
-
-
-def restore_rank_snapshot(engine: "SimulationEngine", r: int, snap: dict) -> None:
-    """Reinstall rank ``r``'s crash-recovery snapshot (queue, mailbox and,
-    with a detector, its protocol state) in place."""
-    engine.ranks[r].restore_state(snap["queue"])
-    engine.mailboxes[r].restore_state(snap["mailbox"])
-    if engine.detectors is not None:
-        engine.detectors[r].restore_state(snap["detector"])
 
 
 def counter_snapshot(
@@ -146,7 +138,10 @@ class RecoveryManager:
         self.engine = engine
         p = engine.graph.num_partitions
         self.epoch_tick = -1  # no checkpoint yet
-        self._snaps: list[dict | None] = [None] * p
+        #: per-rank recovery-scope rank images (``None`` where the image
+        #: lives in the owning worker) and transport channel snapshots.
+        self._images: list[dict | None] = [None] * p
+        self._transport: list[dict | None] = [None] * p
         self._state_bytes = [0] * p
         self._log: list[dict[int, list[Packet]]] = [{} for _ in range(p)]
         # cumulative statistics (folded into TraversalStats by the engine)
@@ -176,10 +171,11 @@ class RecoveryManager:
 
     def _take_snapshots(self, tick: int) -> np.ndarray:
         eng = self.engine
-        snaps, sizes = self._snapshot_ranks(tick)
-        costs = np.zeros(len(snaps), dtype=np.float64)
-        for r, snap in enumerate(snaps):
-            self._snaps[r] = snap
+        images, sizes = self._snapshot_ranks(tick)
+        costs = np.zeros(len(images), dtype=np.float64)
+        for r, image in enumerate(images):
+            self._images[r] = image
+            self._transport[r] = eng.network.snapshot_rank(r)
             nbytes = sizes[r]
             self._state_bytes[r] = nbytes
             self.checkpoint_bytes += nbytes
@@ -189,20 +185,14 @@ class RecoveryManager:
         self.epoch_tick = tick
         return costs
 
-    def _snapshot_ranks(self, tick: int) -> tuple[list[dict], list[int]]:
-        """Every rank's epoch snapshot and simulated byte size."""
+    def _snapshot_ranks(self, tick: int) -> tuple[list[dict | None], list[int]]:
+        """Every rank's recovery-scope image and simulated byte size."""
         eng = self.engine
-        snaps = []
-        for r in range(eng.graph.num_partitions):
-            snap = {
-                "queue": eng.ranks[r].snapshot_state(),
-                "mailbox": eng.mailboxes[r].snapshot_state(),
-                "transport": eng.network.snapshot_rank(r),
-            }
-            if eng.detectors is not None:
-                snap["detector"] = eng.detectors[r].snapshot_state()
-            snaps.append(snap)
-        return snaps, [estimate_checkpoint_bytes(eng, r) for r in range(len(snaps))]
+        p = eng.graph.num_partitions
+        return (
+            [rank_image.capture(eng, r, full=False) for r in range(p)],
+            [estimate_checkpoint_bytes(eng, r) for r in range(p)],
+        )
 
     # ------------------------------------------------------------------ #
     def log_arrivals(self, tick: int, rank: int, packets: list[Packet]) -> None:
@@ -221,25 +211,25 @@ class RecoveryManager:
         detector counters land bit-identical to the moment before the
         crash.  Returns ``(simulated_cost_us, ticks_replayed)``.
         """
-        snap = self._snaps[r]
-        if snap is None:
+        if self._transport[r] is None:
             raise TraversalError(
                 f"rank {r} crashed at tick {crash_tick} with no checkpoint "
                 f"to restore (recovery manager not initialised?)"
             )
-        c0, c1, controls, replayed = self._replay(r, snap, crash_tick)
+        c0, c1, controls, replayed = self._replay(r, crash_tick)
         self.recoveries += 1
         cost_us = replay_price_us(
             self.engine.machine, c0, c1, controls, self._state_bytes[r]
         )
         return cost_us, replayed
 
-    def _replay(self, r: int, snap: dict, crash_tick: int) -> tuple:
-        """Restore rank ``r`` from ``snap`` and re-execute its logged
-        ticks in this process; returns ``(c0, c1, controls, replayed)``."""
+    def _replay(self, r: int, crash_tick: int) -> tuple:
+        """Restore rank ``r`` from its epoch image and re-execute its
+        logged ticks in this process; returns ``(c0, c1, controls,
+        replayed)``."""
         eng = self.engine
-        restore_rank_snapshot(eng, r, snap)
-        eng.network.restore_rank(r, snap["transport"])
+        rank_image.restore(eng, r, self._images[r])
+        eng.network.restore_rank(r, self._transport[r])
         log = self._log[r]
 
         def note_deliveries(t: int) -> None:

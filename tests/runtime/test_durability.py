@@ -2,21 +2,29 @@
 
 Covers the epoch file format and its atomic commit protocol, the fault
 injector's four corruption modes and the fallback ladder they exercise,
-retention pruning, the orphaned-tmp sweep, the config-key guard against
-resuming a different run, and the engine-config validation surface.
+a fuzz of hand-damaged epochs, retention pruning, the orphaned-tmp sweep,
+the config-key guard against resuming a different run, and the
+engine-config validation surface.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.bfs import bfs
+from repro.algorithms.bfs import BFSAlgorithm, bfs
 from repro.bench.harness import build_rmat_graph, pick_bfs_source
 from repro.errors import CheckpointCorruptionError, ConfigurationError
-from repro.runtime.costmodel import EngineConfig
+from repro.runtime.costmodel import EngineConfig, laptop
 from repro.runtime.durability import DurableFaultPlan, sweep_orphans
+from repro.runtime.engine import SimulationEngine
 from repro.runtime.trace import DURABILITY_STATS_FIELDS, TraversalStats
 
 
@@ -220,3 +228,121 @@ class TestConfigKey:
                                     durable_resume=True),
                 page_caches=caches,
             )
+
+
+# --------------------------------------------------------------------- #
+# Damaged-epoch fuzz: any damage ends in a valid epoch or a typed error
+# --------------------------------------------------------------------- #
+FUZZ_CONFIG = dict(durable_interval=2, durable_keep=2)
+
+#: JSON values a damaged manifest field may hold: wrong types, nesting,
+#: unhashable containers, negative and oversize integers.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False)
+    | st.integers(min_value=-(1 << 40), max_value=1 << 40) | st.text(max_size=8)
+    | st.sampled_from(["ranks", "loop", "stats", "network"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_fields = st.sampled_from(["format", "tick", "config", "sections"])
+_entry_keys = st.sampled_from(["name", "offset", "length", "blake2b"])
+_mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("bitflip"), st.floats(0, 1, exclude_max=True),
+              st.integers(0, 7)),
+    st.tuples(st.just("drop"), _fields),
+    st.tuples(st.just("retype"), _fields, _json_values),
+    st.tuples(st.just("nest"), _fields),
+    st.tuples(st.just("entry_drop"), st.integers(0, 6), _entry_keys),
+    st.tuples(st.just("entry_set"), st.integers(0, 6), _entry_keys, _json_values),
+    st.tuples(st.just("entry_swap"), st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.just("append"), _json_values),
+)
+
+
+@pytest.fixture(scope="module")
+def epoch_dir(small, tmp_path_factory):
+    """A finished BFS run's durable directory (two intact epochs), its
+    source vertex and each epoch's pickled loop section by tick."""
+    _, _, src = small
+    d = str(tmp_path_factory.mktemp("epochs"))
+    _fuzz_engine(d, src, resume=False).run()
+    loops = {}
+    for tick in _fuzz_engine(d, src, resume=False).durable.epoch_ticks():
+        eng = _fuzz_engine(d, src, resume=True)
+        loops[tick] = pickle.dumps(eng.durable._try_load(tick)["loop"])
+    assert len(loops) == 2
+    return d, src, loops
+
+
+def _fuzz_engine(d, src, *, resume):
+    cfg = EngineConfig(durable_dir=d, durable_resume=resume, **FUZZ_CONFIG)
+    return SimulationEngine(_rebuild(), BFSAlgorithm(src), laptop(), config=cfg)
+
+
+def _damage(path_stem, mutation):
+    """Apply one mutation to the epoch whose files start at ``path_stem``."""
+    kind = mutation[0]
+    if kind in ("truncate", "bitflip"):
+        with open(path_stem + ".bin", "r+b") as fh:
+            data = bytearray(fh.read())
+            at = int(mutation[1] * len(data))
+            if kind == "truncate":
+                data = data[:at]
+            else:
+                data[at] ^= 1 << mutation[2]
+            fh.seek(0)
+            fh.truncate()
+            fh.write(bytes(data))
+        return
+    with open(path_stem + ".json") as fh:
+        manifest = json.load(fh)
+    entries = manifest["sections"]
+    if kind == "drop":
+        del manifest[mutation[1]]
+    elif kind == "retype":
+        manifest[mutation[1]] = mutation[2]
+    elif kind == "nest":
+        manifest[mutation[1]] = {mutation[1]: [manifest[mutation[1]]]}
+    elif kind == "entry_drop":
+        del entries[mutation[1]][mutation[2]]
+    elif kind == "entry_set":
+        entries[mutation[1]][mutation[2]] = mutation[3]
+    elif kind == "entry_swap":
+        a, b = entries[mutation[1]], entries[mutation[2]]
+        a["name"], b["name"] = b["name"], a["name"]
+    else:
+        entries.append({"name": mutation[1]})
+    with open(path_stem + ".json", "w") as fh:
+        json.dump(manifest, fh)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_mutations, every_epoch=st.booleans())
+@example(mutation=("append", ["ranks"]), every_epoch=True)
+@example(mutation=("entry_swap", 0, 1), every_epoch=True)
+def test_damaged_epochs_fall_back_or_raise_typed(epoch_dir, mutation, every_epoch):
+    """Resume from hand-damaged epochs restores an epoch that still
+    verifies or raises ``CheckpointCorruptionError`` — and
+    ``ConfigurationError`` only when the config key itself was changed.
+    Never any other exception."""
+    pristine, src, pristine_loops = epoch_dir
+    with tempfile.TemporaryDirectory() as d:
+        for name in os.listdir(pristine):
+            shutil.copy(os.path.join(pristine, name), d)
+        stems = sorted({os.path.join(d, n.rsplit(".", 1)[0])
+                        for n in os.listdir(d)})
+        for stem in stems if every_epoch else stems[-1:]:
+            _damage(stem, mutation)
+        eng = _fuzz_engine(d, src, resume=True)
+        try:
+            resume = eng.durable.load_latest()
+        except CheckpointCorruptionError:
+            return
+        except ConfigurationError:
+            assert mutation[0] in ("retype", "nest") and mutation[1] == "config"
+            return
+    # Whichever epoch it restored, it restored it intact.
+    assert pickle.dumps(resume.loop) == pristine_loops[resume.tick]
