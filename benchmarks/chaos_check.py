@@ -196,8 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     source = pick_bfs_source(edges, seed=17)
 
-    base_bfs = bfs(graph, source, reliable=True)
-    base_kcore = kcore(graph, args.k, reliable=True)
+    base_bfs = bfs(graph, source, reliable=True, batch=False)
+    base_kcore = kcore(graph, args.k, reliable=True, batch=False)
     print(f"baselines: bfs {base_bfs.stats.ticks} ticks, "
           f"kcore {base_kcore.stats.ticks} ticks "
           f"(scale {args.scale}, p={args.partitions})")
@@ -205,14 +205,14 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
     for seed in CHAOS_SEEDS:
         for label, plan in _plans(seed):
-            fb = bfs(graph, source, faults=plan)
+            fb = bfs(graph, source, faults=plan, batch=False)
             problems += _check(
                 f"bfs {label}", fb, base_bfs,
                 {"levels": (fb.data.levels, base_bfs.data.levels),
                  "parents": (fb.data.parents, base_bfs.data.parents)},
                 expect_crash=plan.has_crashes,
             )
-            fk = kcore(graph, args.k, faults=plan)
+            fk = kcore(graph, args.k, faults=plan, batch=False)
             problems += _check(
                 f"kcore {label}", fk, base_kcore,
                 {"alive": (fk.data.alive, base_kcore.data.alive)},

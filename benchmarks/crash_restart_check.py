@@ -40,8 +40,8 @@ import tempfile
 #: resume replays the post-epoch ticks, not just reloads the barrier state.
 CELLS = (
     ("bfs", ["bfs"], (5, 8, 13), 8),
-    ("kcore", ["kcore", "-k", "3", "--batch"], (5, 6, 9), None),
-    ("pagerank", ["pagerank", "--batch"], (50, 500, 1000), None),
+    ("kcore", ["kcore", "-k", "3"], (5, 6, 9), None),
+    ("pagerank", ["pagerank"], (50, 500, 1000), None),
 )
 
 DURABLE_INTERVAL = 4

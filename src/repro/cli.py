@@ -21,7 +21,7 @@ laptop scale.  Examples::
     python -m repro bfs --scale 10 -p 8 --faults seed=7,drop=0.02,crash=12:3
     python -m repro triangles --scale 9 -p 8 --approximate --samples 20000
     python -m repro experiment fig13
-    python -m repro profile bfs --scale 12 -p 16 --batch
+    python -m repro profile bfs --scale 12 -p 16
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def _write_stats_json(path: str, stats, arrays: dict) -> None:
         fh.write("\n")
 
 
-def _run_race_detection(args, graph, algorithm_factory, *, batch=False) -> int:
+def _run_race_detection(args, graph, algorithm_factory) -> int:
     """Shared ``--detect-races`` path: run the tick-order race check and
     print its verdict instead of a single traversal."""
     from repro.runtime.race import detect_races
@@ -239,8 +239,6 @@ def _run_race_detection(args, graph, algorithm_factory, *, batch=False) -> int:
     kwargs = _traversal_kwargs(args)
     machine = kwargs.pop("machine")
     topology = kwargs.pop("topology")
-    if batch:
-        kwargs["batch"] = True
     report = detect_races(
         graph, algorithm_factory, machine=machine, topology=topology, **kwargs
     )
@@ -293,10 +291,8 @@ def _cmd_bfs(args) -> int:
     if args.detect_races:
         from repro.algorithms.bfs import BFSAlgorithm
 
-        return _run_race_detection(
-            args, graph, lambda: BFSAlgorithm(source), batch=args.batch
-        )
-    result = bfs(graph, source, batch=args.batch, **_traversal_kwargs(args))
+        return _run_race_detection(args, graph, lambda: BFSAlgorithm(source))
+    result = bfs(graph, source, **_traversal_kwargs(args))
     traversed = bfs_traversed_edges(edges, result.data.levels)
     if args.stats_json:
         _write_stats_json(args.stats_json, result.stats,
@@ -314,10 +310,8 @@ def _cmd_kcore(args) -> int:
     if args.detect_races:
         from repro.algorithms.kcore import KCoreAlgorithm
 
-        return _run_race_detection(
-            args, graph, lambda: KCoreAlgorithm(args.k), batch=args.batch
-        )
-    result = kcore(graph, args.k, batch=args.batch, **_traversal_kwargs(args))
+        return _run_race_detection(args, graph, lambda: KCoreAlgorithm(args.k))
+    result = kcore(graph, args.k, **_traversal_kwargs(args))
     if args.stats_json:
         _write_stats_json(args.stats_json, result.stats,
                           {"alive": result.data.alive})
@@ -335,16 +329,14 @@ def _cmd_triangles(args) -> int:
             return 2
         from repro.algorithms.triangles import TriangleCountAlgorithm
 
-        return _run_race_detection(
-            args, graph, TriangleCountAlgorithm, batch=args.batch
-        )
+        return _run_race_detection(args, graph, TriangleCountAlgorithm)
     if args.approximate:
         est = sample_triangle_estimate(graph, samples=args.samples, seed=args.seed)
         print(f"estimated triangles: {est.estimate:.0f} "
               f"(+/- {est.std_error:.0f}, {est.samples} wedge samples, "
               f"closure {est.closure_fraction:.4f})")
     else:
-        result = triangle_count(graph, batch=args.batch, **_traversal_kwargs(args))
+        result = triangle_count(graph, **_traversal_kwargs(args))
         if args.stats_json:
             _write_stats_json(args.stats_json, result.stats,
                               {"total": result.data.total,
@@ -363,10 +355,9 @@ def _cmd_pagerank(args) -> int:
             args, graph,
             lambda: PageRankAlgorithm(damping=args.damping,
                                       threshold=args.threshold),
-            batch=args.batch,
         )
     result = pagerank(graph, damping=args.damping, threshold=args.threshold,
-                      batch=args.batch, **_traversal_kwargs(args))
+                      **_traversal_kwargs(args))
     if args.stats_json:
         _write_stats_json(args.stats_json, result.stats,
                           {"scores": result.data.scores})
@@ -426,7 +417,7 @@ def _cmd_profile(args) -> int:
         make = lambda batch: lambda: triangle_count(graph, batch=batch, **kwargs)  # noqa: E731
     else:
         make = lambda batch: lambda: pagerank(graph, batch=batch, **kwargs)  # noqa: E731
-    report = profile_call(make(args.batch), top=args.top)
+    report = profile_call(make(True), top=args.top)
     print(report.result.stats.summary())
     print(report.summary(top=args.top))
     if args.compare:
@@ -435,7 +426,7 @@ def _cmd_profile(args) -> int:
             t0 = time.perf_counter()  # repro-lint: disable=RPR002 -- --compare reports real wall-clock, not simulated time
             make(batch)()
             timings[batch] = time.perf_counter() - t0  # repro-lint: disable=RPR002 -- --compare reports real wall-clock, not simulated time
-        print(f"object path {timings[False]:.3f}s, batch path {timings[True]:.3f}s "
+        print(f"object visitors {timings[False]:.3f}s, batch hooks {timings[True]:.3f}s "
               f"({timings[False] / timings[True]:.2f}x)")
     return 0
 
@@ -490,15 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bfs", help="asynchronous BFS")
     _add_graph_args(b)
     b.add_argument("--source", type=int, default=None)
-    b.add_argument("--batch", action="store_true",
-                   help="use the vectorized batch fast path")
     b.set_defaults(func=_cmd_bfs)
 
     k = sub.add_parser("kcore", help="k-core decomposition")
     _add_graph_args(k)
     k.add_argument("-k", type=int, default=4)
-    k.add_argument("--batch", action="store_true",
-                   help="use the vectorized batch fast path")
     k.set_defaults(func=_cmd_kcore)
 
     t = sub.add_parser("triangles", help="triangle counting")
@@ -506,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--approximate", action="store_true",
                    help="wedge-sampling estimate instead of exact count")
     t.add_argument("--samples", type=int, default=10_000)
-    t.add_argument("--batch", action="store_true",
-                   help="use the vectorized batch fast path")
     t.set_defaults(func=_cmd_triangles)
 
     pr = sub.add_parser("pagerank", help="asynchronous PageRank")
@@ -515,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--damping", type=float, default=0.85)
     pr.add_argument("--threshold", type=float, default=1e-4)
     pr.add_argument("--top", type=int, default=10)
-    pr.add_argument("--batch", action="store_true",
-                   help="use the vectorized batch fast path")
     pr.set_defaults(func=_cmd_pagerank)
 
     g5 = sub.add_parser("graph500", help="Graph500-style run: N validated "
@@ -536,11 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("-k", type=int, default=4, help="kcore k (default 4)")
     pf.add_argument("--top", type=int, default=20,
                     help="hotspot lines to print (default 20)")
-    pf.add_argument("--batch", action="store_true",
-                    help="profile the vectorized batch fast path")
     pf.add_argument("--compare", action="store_true",
-                    help="also time both paths once and report the "
-                         "object-vs-batch wall-clock ratio")
+                    help="also time the object visitors (through the "
+                         "adapter) and the batch hooks once and report "
+                         "their wall-clock ratio")
     pf.set_defaults(func=_cmd_profile)
 
     e = sub.add_parser("experiment", help="regenerate a paper figure/table")

@@ -35,7 +35,7 @@ class Envelope:
     """One logical message: ``payload`` bound for rank ``dest``.
 
     ``count`` is the number of logical messages the envelope stands for:
-    1 for ordinary object-path envelopes and control messages, N when the
+    1 for single-message envelopes (``Mailbox.send``: control messages), N when the
     payload is a :class:`~repro.core.batch.VisitorBatch` carrying N
     visitors.  ``size_bytes`` is always the *per-message* payload size, so
     wire accounting is identical whether N messages travel as N envelopes

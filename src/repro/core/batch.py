@@ -1,14 +1,13 @@
-"""Struct-of-arrays visitor batches for the vectorized fast path.
+"""Struct-of-arrays visitor batches: the rank's one visitor representation.
 
-The object path moves one heap-allocated :class:`~repro.core.visitor.Visitor`
-per logical message and evaluates ``pre_visit`` one method call at a time.
-For algorithms whose per-vertex state is flat and numeric, the same
-semantics can be executed over whole frontiers at once: a
-:class:`VisitorBatch` carries ``vertices`` / ``payloads`` / ``parents``
-(plus optional algorithm-specific ``extras`` columns — triangle counting's
-``third`` vertex) as parallel numpy arrays, per-vertex state lives in an
-array-backed state block, and the pre-visit of N arrivals becomes one
-masked array update.
+A :class:`VisitorBatch` carries N visitors as parallel numpy arrays —
+``vertices`` / ``payloads`` / ``parents`` plus optional
+algorithm-specific ``extras`` columns (triangle counting's ``third``
+vertex) — in one Python object.  For algorithms whose per-vertex state is
+flat and numeric, state lives in an array-backed block and the pre-visit
+of N arrivals becomes one masked array update.  Object visitors ride the
+same batches with an ``object`` payload column
+(:mod:`repro.core.object_adapter`).
 
 :class:`BatchStateArrays` is the monotonic improve-or-drop state block the
 PR-1 traversals (BFS, SSSP, CC) share; counting/accumulating algorithms
@@ -18,15 +17,16 @@ protocol with mutable counter semantics.
 
 Equivalence contract
 --------------------
-Everything here is *sequentially equivalent* to the object path: applying
-``previsit_batch`` to a batch produces exactly the mask and state
-mutations that N consecutive ``pre_visit`` calls would, including the
-case where several visitors in one batch target the same vertex (the
-within-batch order is the arrival order; :func:`occurrence_counts` gives
-each position its per-vertex arrival index so duplicate resolution is
-exact).  That is what lets the engine's batch mode promise bit-identical
-states and :class:`~repro.runtime.trace.TraversalStats` to the object
-path.
+Everything here is *sequentially equivalent* to one-visitor-at-a-time
+execution: applying ``previsit_batch`` to a batch produces exactly the
+mask and state mutations that N consecutive ``pre_visit`` calls would,
+including the case where several visitors in one batch target the same
+vertex (the within-batch order is the arrival order;
+:func:`occurrence_counts` gives each position its per-vertex arrival
+index so duplicate resolution is exact).  That is what lets the native
+batch hooks promise bit-identical states and
+:class:`~repro.runtime.trace.TraversalStats` to the algorithms' object
+twins.
 """
 
 from __future__ import annotations
@@ -248,20 +248,23 @@ class BatchStateArrays:
 
 
 class GhostArrayTable:
-    """Array-backed ghost filter (the batch twin of
-    :class:`~repro.graph.ghosts.GhostTable`).
+    """Per-partition ghost filter (Sections III-A2 and IV-B): local, never
+    globally synchronised.
 
-    Ghost state is the same monotonic value array; lookup is a binary
-    search over the sorted ghosted-vertex array.  Ghost parents are never
-    read by any ``finalize``, so only values are stored.
+    ``state`` is any state block (the state-array protocol's ``previsit``
+    / ``snapshot`` / ``restore``) built with ``ROLE_GHOST`` for the
+    ghosted ``vertices``, which must be ascending — row ``i`` is the ghost
+    of ``vertices[i]``, and lookup is a binary search.
     """
 
     __slots__ = ("vertices", "state", "filter_hits", "filter_passes")
 
-    def __init__(self, vertices: np.ndarray, state: BatchStateArrays) -> None:
-        order = np.argsort(vertices)
-        self.vertices = np.ascontiguousarray(vertices[order], dtype=VID_DTYPE)
-        self.state = BatchStateArrays(state.values[order], None)
+    def __init__(self, vertices: np.ndarray, state) -> None:
+        vertices = np.ascontiguousarray(vertices, dtype=VID_DTYPE)
+        if vertices.size > 1 and (vertices[1:] <= vertices[:-1]).any():
+            raise ValueError("ghost vertices must be strictly ascending")
+        self.vertices = vertices
+        self.state = state
         #: visitors killed by a ghost pre_visit (saved messages).
         self.filter_hits = 0
         #: visitors that passed a ghost pre_visit (forwarded to the master).
@@ -295,16 +298,16 @@ class GhostArrayTable:
 
     # -------------------------------------------------------------- #
     def snapshot_state(self) -> dict:
-        """Checkpointable ghost state (value-array copy)."""
+        """Checkpointable ghost state (the block's ``snapshot``)."""
         return {
-            "values": self.state.values.copy(),
+            "state": self.state.snapshot(),
             "filter_hits": self.filter_hits,
             "filter_passes": self.filter_passes,
         }
 
     def restore_state(self, snap: dict) -> None:
-        """Reinstall a :meth:`snapshot_state` checkpoint in place."""
-        self.state.values[:] = snap["values"]
+        """Reinstall a :meth:`snapshot_state` checkpoint."""
+        self.state.restore(snap["state"])
         self.filter_hits = snap["filter_hits"]
         self.filter_passes = snap["filter_passes"]
 

@@ -1,28 +1,29 @@
-"""Vectorized per-rank visitor queue — the batch twin of
-:class:`~repro.core.visitor_queue.VisitorQueueRank`.
+"""The per-rank visitor queue — Algorithm 1, frontier-at-a-time.
 
-Executes exactly Algorithm 1, but frontier-at-a-time: arrivals are
-:class:`~repro.core.batch.VisitorBatch` objects whose pre-visit is one
-masked compare-and-update, ``visit`` expansion gathers all executing rows'
-adjacency in one indexed read and pushes one batch envelope per
-destination run, and page metering for NVRAM machines goes through
-:meth:`PageCache.access_pages` in bulk.
+This is the engine's only rank class.  Algorithms with native batch hooks
+run here directly; object visitors run through
+:class:`~repro.core.object_adapter.ObjectAdapter`, whose hooks call
+``pre_visit`` / ``visit`` one visitor at a time.  Arrivals are
+:class:`~repro.core.batch.VisitorBatch` objects whose pre-visit is the
+state block's ``previsit_batch``; ``visit`` expansion runs over one popped
+run at a time and its pushes go out as one stream; page metering for
+NVRAM machines goes through :meth:`PageCache.access_pages` in bulk.
 
-Equivalence with the object path (the determinism guarantee of
-INTERNALS §6/§7) rests on three ordering facts:
+Equivalence with one-visitor-at-a-time execution (the determinism
+guarantee of INTERNALS §6/§7) rests on three ordering facts:
 
 * **Pre-visit** uses the state block's ``previsit_batch``, which resolves
   within-batch races on the same vertex sequentially (monotonic
   improve-or-drop for the traversals, exact arrival-ordered counter
-  updates for k-core/triangles/PageRank), and local heap keys are the
-  identical ``(priority, tie, seq)`` triples, so queue contents and pop
-  order match visitor-for-visitor.
+  updates for k-core/triangles/PageRank), and local heap keys are
+  ``(priority, tie, seq)`` triples, so queue contents and pop order match
+  visitor-for-visitor.
 * **Send order**: adjacency rows are expanded in pop order and row targets
   are destination-monotone (owners are contiguous vertex ranges), so
   splitting the concatenated push stream at destination changes yields
   per-hop envelope streams identical to per-visitor ``push`` calls; the
   mailbox then splits batches at aggregation boundaries so every packet
-  carries the same visitors as the object path's.
+  carries the same visitors as per-visitor sends would.
 * **Page order**: per executing visitor, state pages then row pages are
   metered in pop order — the same page-id sequence ``state_of`` /
   ``out_edges`` would touch — so cache hits, misses and LRU state match.
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ScalarHeapImage(list):
-    """A snapshot of a batch rank's heap that pickles without a memo.
+    """A snapshot of a native batch heap that pickles without a memo.
 
     Every heap entry is a fresh tuple of Python scalars (``tolist()``
     output), so the entries share nothing and hold no cycles, and the
@@ -79,7 +80,7 @@ def _scalar_heap_from_bytes(data: bytes) -> ScalarHeapImage:
 
 
 class BatchVisitorQueueRank:
-    """One rank's slice of the visitor queue, on the vectorized fast path."""
+    """One rank's slice of the distributed asynchronous visitor queue."""
 
     _STATE_NAMESPACE = 2  # page-cache namespace for vertex state
 
@@ -114,7 +115,8 @@ class BatchVisitorQueueRank:
         self._max_owners = graph.max_owners
         self._prio_is_payload = algorithm.batch_priority_is_payload
         vertices = np.arange(part.state_lo, part.state_hi + 1, dtype=VID_DTYPE)
-        #: Array-backed state block (the batch twin of ``.states`` lists).
+        #: The rank's state block (state-array protocol: ``previsit_batch``
+        #: / ``snapshot`` / ``restore``).
         self.states = algorithm.make_state_arrays(
             vertices,
             graph.global_out_degrees[vertices],
@@ -123,12 +125,19 @@ class BatchVisitorQueueRank:
         )
         self._heap: list[tuple] = []
         self._seq = 0
+        #: Heap snapshot type: scalar entries pickle memo-free; an adapter
+        #: for object visitors brings its own.
+        self._heap_image = getattr(algorithm, "heap_image", ScalarHeapImage)
         #: queue entries currently living in the external spill log
         #: (tick-granularity ledger; see :meth:`sync_spill`).  Deliberately
-        #: outside snapshot/restore — see the object path's note.
+        #: outside snapshot/restore: the ledger mirrors the spill pager,
+        #: which survives a crash un-rolled-back, so restoring an epoch
+        #: value would desynchronise the next ``sync_spill`` delta.
         # repro-lint: volatile -- ledger tracks the pager, which is not rolled back on restore
         self._spilled_visitors = 0
-        #: race-detector tap (see the object path) — engine-owned, drained
+        #: race-detector tap: when the engine installs a list here, every
+        #: executed visitor appends its vertex (the observable application
+        #: order that the per-tick digests hash).  Engine-owned, drained
         #: every tick, hence outside snapshot/restore.
         # repro-lint: volatile -- engine-owned observability tap, drained every tick
         self.order_probe: list[int] | None = None
@@ -181,12 +190,12 @@ class BatchVisitorQueueRank:
             )
 
     def _enqueue_local(self, passed: VisitorBatch) -> None:
-        # Identical heap keys to the object path: (priority, tie, seq).
-        # Monotonic traversals (priority == payload) store
-        # ``(payload, tie, seq, vertex, parent)``; own-priority algorithms
-        # store ``(priority, tie, seq, vertex, payload, *extras)`` —
-        # comparisons never reach past ``seq`` (it is unique), so pop
-        # order is the object path's regardless of the tail layout.
+        # Heap keys are (priority, tie, seq), tie the vertex id under the
+        # Section V-A locality ordering.  Monotonic traversals (priority ==
+        # payload) store ``(payload, tie, seq, vertex, parent)``;
+        # own-priority algorithms store ``(priority, tie, seq, vertex,
+        # payload, *extras)`` — comparisons never reach past ``seq`` (it is
+        # unique), so pop order is independent of the tail layout.
         heap = self._heap
         seq = self._seq
         loc = self.locality_ordering
@@ -275,7 +284,7 @@ class BatchVisitorQueueRank:
         """Hand the whole expansion stream to the mailbox, which groups it
         by next hop (stably, so per-hop message order — the only order
         packet composition and arrival order depend on — is exactly the
-        object path's per-visitor push order)."""
+        per-visitor push order)."""
         if len(batch) == 0:
             return
         self.mailbox.send_stream(
@@ -311,7 +320,7 @@ class BatchVisitorQueueRank:
         cache.access_pages(concat_ranges(first + base, lengths))
 
     def meter_gate_pages(self, vertices: np.ndarray, live: np.ndarray) -> None:
-        """Meter the pages of one popped run, in the object path's order:
+        """Meter the pages of one popped run, in ``VisitContext`` order:
         per visitor, its state pages (the ``state_of`` gate read), then —
         only where ``live`` — its adjacency row's pages (``out_edges``).
         No-op on in-memory machines."""
@@ -353,7 +362,7 @@ class BatchVisitorQueueRank:
         adjacency row (expansion scan or ``has_local_edge`` closing probe),
         and closing visitors that *found* the edge then touch their state
         page (the counter increment) — rows before state, per visitor, in
-        pop order, exactly as the object path's visit."""
+        pop order, exactly as the object visitor's visit."""
         if self.paged_csr is None and self.state_pager is None:
             return
         nv = vertices.size
@@ -380,12 +389,12 @@ class BatchVisitorQueueRank:
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Checkpointable rank state for crash recovery (array copies via
-        the state block's ``snapshot``; heap tuples are immutable and
-        shared)."""
+        """Checkpointable rank state for crash recovery (copies via the
+        state block's ``snapshot``; heap tuples and the visitors in them
+        are never mutated, so they are shared)."""
         snap = {
             "arrays": self.states.snapshot(),
-            "heap": ScalarHeapImage(self._heap),
+            "heap": self._heap_image(self._heap),
             "seq": self._seq,
             "counters": copy.copy(self.counters),
         }
@@ -412,9 +421,12 @@ class BatchVisitorQueueRank:
 
     def sync_spill(self, pager, resident_limit: int) -> None:
         """Reconcile the external-memory queue overflow with the current
-        queue depth — identical ledger arithmetic to the object path's
-        :meth:`~repro.core.visitor_queue.VisitorQueueRank.sync_spill`, so
-        spill I/O and counters match byte-for-byte across the two paths.
+        queue depth (the paper's §V-A external queue, at tick granularity).
+
+        Entries beyond ``resident_limit`` live in the spill log: growth
+        since the last call is written out, shrinkage read back in, both
+        charged through ``pager``.  Pure cost accounting — pop order and
+        visitor execution are untouched, so results stay bit-identical.
         """
         entry_bytes = self.algorithm.visitor_bytes + QUEUE_ENTRY_OVERHEAD_BYTES
         target = max(0, self.queue_length() - resident_limit)

@@ -157,9 +157,10 @@ def run_traversal(
         traversals keeps them *warm*, modelling Graph500's repeated BFS
         runs over a persistent user-space page cache.
     batch:
-        Override :attr:`EngineConfig.batch` — run the vectorized batch
-        fast path (requires ``algorithm.supports_batch``).  Results and
-        stats are bit-identical to the object path either way.
+        Override :attr:`EngineConfig.batch` — ``False`` runs the
+        algorithm's object visitors through the adapter even when it has
+        native batch hooks (the object twins are the test oracle).
+        Results and stats are bit-identical either way.
     faults:
         Override :attr:`EngineConfig.faults` — a
         :class:`~repro.comm.faults.FaultPlan` (implies reliable delivery).
@@ -268,8 +269,5 @@ def run_traversal(
         page_caches=page_caches,
     )
     states_per_rank, stats = engine.run()
-    if engine.batch_mode:
-        data = algorithm.finalize_batch(graph, states_per_rank)
-    else:
-        data = algorithm.finalize(graph, states_per_rank)
+    data = engine.algorithm.finalize_batch(graph, states_per_rank)
     return TraversalResult(data=data, stats=stats, ipc=engine.ipc_counters)

@@ -10,12 +10,12 @@ A traversal algorithm supplies a *visitor* type with:
     and the state object it is handed.
 
 ``visit(ctx)``
-    The main visitor procedure.  ``ctx`` is the executing rank's
-    :class:`~repro.core.visitor_queue.VisitorQueueRank`, which exposes the
-    graph operations (``out_edges``, ``state_of``, ``has_local_edge``) and
-    ``push`` for dynamically created visitors.  (The paper writes
-    ``visit(graph, visitor_queue)``; here both capabilities live on one
-    context object.)
+    The main visitor procedure.  ``ctx`` is a
+    :class:`~repro.core.object_adapter.VisitContext` on the executing
+    rank, which exposes the graph operations (``out_edges``, ``state_of``,
+    ``has_local_edge``, ``graph``) and ``push`` for dynamically created
+    visitors.  (The paper writes ``visit(graph, visitor_queue)``; here
+    both capabilities live on one context object.)
 
 ``priority``
     The ``operator<`` of Table I: visitors are ordered in a local min-heap
@@ -40,7 +40,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.batch import BatchStateArrays, VisitorBatch
-    from repro.core.visitor_queue import VisitorQueueRank
+    from repro.core.object_adapter import VisitContext
     from repro.graph.distributed import DistributedGraph
 
 #: State roles.  ``MASTER`` is the authoritative copy on ``min_owner``;
@@ -72,7 +72,7 @@ class Visitor:
         """Default: always proceed."""
         return True
 
-    def visit(self, ctx: "VisitorQueueRank") -> None:
+    def visit(self, ctx: "VisitContext") -> None:
         """Default: do nothing."""
 
 
@@ -87,11 +87,14 @@ class AsyncAlgorithm(ABC):
     uses_ghosts: bool = False
     #: Serialized visitor size for the byte-cost model.
     visitor_bytes: int = 16
-    #: Whether the algorithm implements the vectorized batch fast path
-    #: (``EngineConfig.batch``).  Requires flat numeric state and the
-    #: ``*_batch`` hooks below; all built-in algorithms (monotonic
-    #: traversals *and* the counting/accumulating ones) implement it.
-    #: Arbitrary user visitors stay on the object path.
+    #: Whether the algorithm implements native batch hooks (the ``*_batch``
+    #: methods below, over flat numeric state); all built-in algorithms do.
+    #: Without them — and for any algorithm under ``EngineConfig.batch =
+    #: False`` — the engine runs the object visitors through
+    #: :class:`~repro.core.object_adapter.ObjectAdapter`, which implements
+    #: those hooks by calling ``pre_visit`` / ``visit`` per visitor.  A
+    #: subclass of a built-in that changes its visitors must set this
+    #: False, or its native hooks run instead of the new visitors.
     supports_batch: bool = False
     #: Dtype of the batch payload array (BFS length, SSSP distance, CC
     #: label, triangle ``second``, PageRank residual amount).
@@ -139,11 +142,12 @@ class AsyncAlgorithm(ABC):
         """
 
     # ------------------------------------------------------------------ #
-    # Batch fast path (``supports_batch = True`` implementations only).
-    # Semantics contract: each hook must be the exact vectorization of the
-    # object-path code — ``make_state_arrays`` of N ``make_state`` calls,
+    # Batch hooks (native in ``supports_batch = True`` implementations;
+    # ObjectAdapter implements them for everything else).  Semantics
+    # contract: each native hook must be the exact vectorization of the
+    # object twin — ``make_state_arrays`` of N ``make_state`` calls,
     # ``expand_batch`` of the visitor's ``visit`` expansion loop — so that
-    # the two paths produce bit-identical states and traversal stats.
+    # both produce bit-identical states and traversal stats.
     # ------------------------------------------------------------------ #
     def make_state_arrays(
         self,
@@ -194,13 +198,12 @@ class AsyncAlgorithm(ABC):
         """Vectorized ``visit`` over one popped run; returns the push batch.
 
         ``ctx`` is the executing
-        :class:`~repro.core.batch_queue.BatchVisitorQueueRank` (the batch
-        twin of the visit context): it exposes the local CSR
+        :class:`~repro.core.batch_queue.BatchVisitorQueueRank`: it exposes the local CSR
         (``ctx.csr``), state block (``ctx.states``), counters, and the
         bulk page-metering helpers.  The default implementation is the
         monotonic-traversal visit — the Alg. 2 line 13 still-the-best
         gate, then :meth:`expand_batch` over the live rows — and must
-        mirror the object path's metering exactly: per popped visitor, a
+        mirror the object visitor's metering exactly: per popped visitor, a
         state page (the gate read), then its row pages only when live.
 
         Counting/accumulating algorithms override this entirely (k-core's

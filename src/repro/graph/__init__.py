@@ -15,7 +15,7 @@
 from repro.graph.csr import CSR
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
-from repro.graph.ghosts import GhostTable, select_ghost_candidates
+from repro.graph.ghosts import select_ghost_candidates
 from repro.graph.partition_1d import OneDPartitioning
 from repro.graph.partition_2d import TwoDBlockPartitioning
 from repro.graph.partition_edge_list import EdgeListPartitioning
@@ -27,6 +27,5 @@ __all__ = [
     "TwoDBlockPartitioning",
     "EdgeListPartitioning",
     "DistributedGraph",
-    "GhostTable",
     "select_ghost_candidates",
 ]

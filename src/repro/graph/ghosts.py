@@ -15,12 +15,11 @@ effect" is the global version of the same condition.
 
 Ghost *state* is algorithm-specific and created per traversal — ghosts act
 as imprecise ``pre_visit`` filters, so only algorithms that declare ghost
-usage (BFS; not k-core, not triangle counting) get a table.
+usage (BFS; not k-core, not triangle counting) get a table
+(:class:`~repro.core.batch.GhostArrayTable`).
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -57,52 +56,3 @@ def select_ghost_candidates(
     # Descending count, ascending vertex id on ties.
     order = np.lexsort((vertices, -counts))
     return vertices[order[:num_ghosts]].astype(VID_DTYPE)
-
-
-class GhostTable:
-    """Per-partition ghost state: local, never globally synchronised.
-
-    Maps vertex id -> algorithm state object.  The table implements the two
-    graph operations the distributed visitor queue needs
-    (Section V): ``has_local_ghost(v)`` and ``local_ghost(v)``.
-    """
-
-    __slots__ = ("_states", "filter_hits", "filter_passes")
-
-    def __init__(self, vertices: np.ndarray, state_factory) -> None:
-        self._states = {int(v): state_factory(int(v)) for v in vertices}
-        #: visitors killed by a ghost pre_visit (saved messages).
-        self.filter_hits = 0
-        #: visitors that passed a ghost pre_visit (forwarded to the master).
-        self.filter_passes = 0
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def has_local_ghost(self, v: int) -> bool:
-        """True if local ghost information is stored for ``v``."""
-        return v in self._states
-
-    def local_ghost(self, v: int):
-        """The locally stored ghost state for ``v``."""
-        return self._states[v]
-
-    def vertices(self) -> list[int]:
-        """All ghosted vertex ids (deterministic order)."""
-        return sorted(self._states)
-
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        """Checkpointable ghost state (deep copy — ghost state objects are
-        mutated by ``pre_visit``)."""
-        return {
-            "states": copy.deepcopy(self._states),
-            "filter_hits": self.filter_hits,
-            "filter_passes": self.filter_passes,
-        }
-
-    def restore_state(self, snap: dict) -> None:
-        """Reinstall a :meth:`snapshot_state` checkpoint in place."""
-        self._states = copy.deepcopy(snap["states"])
-        self.filter_hits = snap["filter_hits"]
-        self.filter_passes = snap["filter_passes"]

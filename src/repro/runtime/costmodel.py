@@ -114,11 +114,13 @@ class EngineConfig:
     #: *semi-external* design — vertex state in DRAM, edges on flash —
     #: whose superiority §VIII-A argues and the ablation measures.
     page_vertex_state: bool = False
-    #: Run the vectorized batch fast path (SoA visitor batches, array
-    #: pre-visit, batched page metering).  Requires
-    #: ``algorithm.supports_batch``; produces bit-identical states and
-    #: traversal stats to the object path, just faster wall-clock.
-    batch: bool = False
+    #: Run the algorithm's native batch hooks (SoA visitor batches, array
+    #: pre-visit, batched page metering) when it has them
+    #: (``algorithm.supports_batch``).  False runs its object visitors
+    #: through the adapter on the same rank instead — bit-identical states
+    #: and traversal stats, slower wall-clock; algorithms without batch
+    #: hooks always run that way.
+    batch: bool = True
     #: Worker processes running the ranks.  1 (default) runs them in
     #: process; N > 1 selects the worker-pool rank executor — a persistent
     #: pool of N forked workers (capped at the rank count) whose packets,
@@ -262,18 +264,11 @@ class EngineConfig:
             raise ConfigurationError("worker_restarts must be >= 0")
         if self.worker_barrier_timeout is not None and self.worker_barrier_timeout <= 0:
             raise ConfigurationError("worker_barrier_timeout must be > 0")
-        if self.worker_faults is not None:
-            if self.workers <= 1:
-                raise ConfigurationError(
-                    "worker_faults requires workers > 1 (there is no worker "
-                    "pool to fail at workers=1)"
-                )
-            if self.storage_faults is not None:
-                raise ConfigurationError(
-                    "worker_faults cannot combine with storage_faults: the "
-                    "storage fault injector's RNG stream position cannot be "
-                    "restored across a worker respawn"
-                )
+        if self.worker_faults is not None and self.workers <= 1:
+            raise ConfigurationError(
+                "worker_faults requires workers > 1 (there is no worker "
+                "pool to fail at workers=1)"
+            )
         if self.durable_interval < 1:
             raise ConfigurationError("durable_interval must be >= 1")
         if self.durable_keep < 1:

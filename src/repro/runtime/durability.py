@@ -66,8 +66,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: On-disk epoch format version (bumped on incompatible layout changes;
 #: 2: the ``ranks`` section holds one pickled blob per rank; 3: each blob
 #: is a ``(full rank image, recovery part)`` pair, see
-#: :func:`repro.runtime.rank_image.pack`).
-FORMAT_VERSION = 3
+#: :func:`repro.runtime.rank_image.pack`; 4: every rank is the one rank
+#: class — object-visitor queues hold five-field heap entries and an
+#: ``arrays`` state block, ghosts a ``state`` block).
+FORMAT_VERSION = 4
 
 #: Simulated bytes of one rank's durable section beyond its crash-recovery
 #: image (manifest entry, section framing, pager/cache/ledger state).
@@ -335,7 +337,7 @@ class DurabilityManager:
         g = eng.graph
         return {
             "algorithm": eng.algorithm.name,
-            "batch": eng.batch_mode,
+            "batch": cfg.batch,
             "machine": eng.machine.name,
             "topology": eng.topology.name,
             "num_ranks": g.num_partitions,
@@ -565,7 +567,7 @@ class DurabilityManager:
         on disk, but unpickles nothing: a section whose bytes match the
         checksum taken over ``pickle.dumps``' own output loads by
         construction, and unpickling every epoch just written doubled the
-        cost of each durable write (object-path visitor heaps dominate).
+        cost of each durable write (object-visitor heaps dominate).
         """
         try:
             return self._verified_blobs(tick) is not None

@@ -36,8 +36,8 @@ from repro.comm.routing import Topology, make_topology
 from repro.comm.termination import LocalSnapshot, QuiescenceDetector
 from repro.core.batch import GhostArrayTable
 from repro.core.batch_queue import BatchVisitorQueueRank
+from repro.core.object_adapter import ObjectAdapter
 from repro.core.visitor import ROLE_GHOST, AsyncAlgorithm
-from repro.core.visitor_queue import VisitorQueueRank
 from repro.errors import (
     ConfigurationError,
     MemorySystemError,
@@ -45,7 +45,6 @@ from repro.errors import (
     TraversalError,
 )
 from repro.graph.distributed import DistributedGraph
-from repro.graph.ghosts import GhostTable
 from repro.memory.backing import PagedCSR
 from repro.memory.device import dram
 from repro.memory.faults import StorageFaultInjector
@@ -193,44 +192,33 @@ class SimulationEngine:
         if self.config.stragglers is not None and self.config.stragglers.any_skew:
             self.straggler = StragglerClock(self.config.stragglers, p)
 
-        algorithm.bind(graph)
-        #: Whether the vectorized batch fast path is active this run.
-        self.batch_mode = bool(self.config.batch)
-        if self.batch_mode and not algorithm.supports_batch:
-            raise TraversalError(
-                f"algorithm {algorithm.name!r} does not implement the batch "
-                f"fast path; run with batch=False (the default object path)"
-            )
-        rank_cls = BatchVisitorQueueRank if self.batch_mode else VisitorQueueRank
-        self.ranks: list[VisitorQueueRank | BatchVisitorQueueRank] = []
+        #: The algorithm the ranks run: its native batch hooks, or — without
+        #: them, or with ``batch=False`` — its object visitors through the
+        #: adapter (INTERNALS §7).  ``algorithm`` stays the caller's.
+        if not (self.config.batch and algorithm.supports_batch):
+            self.algorithm = ObjectAdapter(algorithm)
+        self.algorithm.bind(graph)
+        self.ranks: list[BatchVisitorQueueRank] = []
         for r in range(p):
             ghost_table = None
-            candidates = graph.partitions[r].ghost_candidates
-            if algorithm.uses_ghosts and candidates.size:
-                if self.batch_mode:
-                    ghost_table = GhostArrayTable(
-                        candidates,
-                        algorithm.make_state_arrays(
-                            candidates,
-                            graph.global_out_degrees[candidates],
-                            ROLE_GHOST,
-                        ),
-                    )
-                else:
-                    ghost_table = GhostTable(
-                        candidates,
-                        lambda v: algorithm.make_state(v, graph.degree(v), ROLE_GHOST),
-                    )
+            ghosts = np.sort(graph.partitions[r].ghost_candidates)
+            if self.algorithm.uses_ghosts and ghosts.size:
+                ghost_table = GhostArrayTable(
+                    ghosts,
+                    self.algorithm.make_state_arrays(
+                        ghosts, graph.global_out_degrees[ghosts], ROLE_GHOST
+                    ),
+                )
             state_pager = None
             if self.config.page_vertex_state and self.caches[r] is not None:
                 # fully-external mode: vertex state shares the rank's page
                 # cache with the CSR (one DRAM budget), 16 bytes per state.
                 state_pager = (self.caches[r], 16)
             self.ranks.append(
-                rank_cls(
+                BatchVisitorQueueRank(
                     r,
                     graph,
-                    algorithm,
+                    self.algorithm,
                     self.mailboxes[r],
                     ghost_table=ghost_table,
                     paged_csr=paged[r],
@@ -309,13 +297,9 @@ class SimulationEngine:
     def _seed_rank(self, r: int) -> None:
         """Push rank ``r``'s initial visitors (the in-process executor and
         the forked workers seed through this one helper)."""
-        if self.batch_mode:
-            seed = self.algorithm.initial_batch(self.graph, r)
-            if seed is not None:
-                self.ranks[r].push_batch(seed)
-        else:
-            for visitor in self.algorithm.initial_visitors(self.graph, r):
-                self.ranks[r].push(visitor)
+        seed = self.algorithm.initial_batch(self.graph, r)
+        if seed is not None:
+            self.ranks[r].push_batch(seed)
 
     @contextlib.contextmanager
     def _rank_executor(self, resume):

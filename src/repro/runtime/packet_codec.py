@@ -24,8 +24,9 @@ Frame layout (little-endian, in order)::
     controls arity u8 per tuple, then per-value type codes u8 and
              values i64
 
-Everything a steady-state batch tick emits is encodable; anything else —
-object-path ``Visitor`` payloads, an unregistered control string, batch
+Everything a steady-state tick of native batch hooks emits is encodable;
+anything else — object visitors in an ``object`` payload column, an
+unregistered control string, batch
 envelopes with heterogeneous column schemas — raises
 :class:`UnframeablePayload` and the caller falls back to the pickled
 pipe, which is always correct.  Decoding is exact: dtypes, ``seq``/``ack``
@@ -54,6 +55,7 @@ __all__ = [
     "decode_packets",
     "encode_ints",
     "encode_packets",
+    "frameable",
 ]
 
 
@@ -89,6 +91,11 @@ _DTYPES = tuple(
     )
 )
 _DTYPE_CODES = {dt: i for i, dt in enumerate(_DTYPES)}
+
+
+def frameable(*dtypes) -> bool:
+    """Whether batch columns of these dtypes fit the frame format."""
+    return all(np.dtype(dt) in _DTYPE_CODES for dt in dtypes)
 
 
 def _dtype_code(dtype: np.dtype) -> int:

@@ -18,11 +18,12 @@ are where determinism is re-established:
 
 * **Fork + shared memory.**  The pool is forked *after* engine
   construction, so workers inherit the fully-built engine copy-on-write
-  (graph, CSR, topology — nothing is pickled to start a run).  In batch
-  mode each rank's SoA state arrays are first rebound onto anonymous
-  ``MAP_SHARED`` arenas (:class:`repro.core.batch.SharedArrayBlock`), so
-  worker writes land in pages the parent reads — final states come back
-  zero-copy.  Object-path states are pickled back once, at finalize.
+  (graph, CSR, topology — nothing is pickled to start a run).  Array
+  state blocks are first rebound onto anonymous ``MAP_SHARED`` arenas
+  (:class:`repro.core.batch.SharedArrayBlock`), so worker writes land in
+  pages the parent reads — final states come back zero-copy.  Blocks
+  without arrays (object visitors' state objects) are pickled back once,
+  at finalize.
 
 * **Deterministic merge.**  Workers never talk to the real fabric; their
   mailboxes are rewired to a :class:`_StubNetwork` that records packets in
@@ -117,6 +118,7 @@ from repro.runtime.packet_codec import (
     decode_packets,
     encode_ints,
     encode_packets,
+    frameable,
 )
 from repro.runtime.recovery import (
     RecoveryManager,
@@ -489,7 +491,7 @@ def _worker_main(
             elif cmd == "durable":
                 _send_obj(conn, ("ok", _worker_durable(engine, owned, snaps)))
             elif cmd == "finalize":
-                _send_obj(conn, ("ok", finalize_ranks(engine, owned)))
+                _send_obj(conn, ("ok", finalize_ranks(engine, owned, msg[1])))
             elif cmd == "stop":
                 break
             else:  # pragma: no cover - protocol guard
@@ -730,12 +732,12 @@ def _worker_durable(
 
 
 def finalize_ranks(
-    engine: "SimulationEngine", owned
+    engine: "SimulationEngine", owned, ship_states: bool = False
 ) -> tuple[dict, dict, int | None]:
     """End-of-run accounting for the ``owned`` ranks: sync mailbox
-    counters, fold absolute cache totals, return the counters, the
-    object-path states and (when rank 0 is owned) the detector's wave
-    count."""
+    counters, fold absolute cache totals, return the counters, the state
+    blocks when ``ship_states`` (blocks the pool could not share) and
+    (when rank 0 is owned) the detector's wave count."""
     counters: dict[int, object] = {}
     states: dict[int, object] = {}
     for r in owned:
@@ -747,7 +749,7 @@ def finalize_ranks(
             rank.counters.cache_misses = cache.misses
             rank.counters.cache_evictions = cache.evictions
         counters[r] = rank.counters
-        if not engine.batch_mode:
+        if ship_states:
             states[r] = rank.states
     waves = None
     if 0 in owned and engine.detectors is not None:
@@ -761,8 +763,8 @@ def finalize_ranks(
 class WorkerPool:
     """Persistent forked worker pool for one :meth:`SimulationEngine.run`.
 
-    Forked in the constructor — after the engine is fully built and (in
-    batch mode) after the state arrays are rebound onto shared arenas — so
+    Forked in the constructor — after the engine is fully built and after
+    the array state blocks are rebound onto shared arenas — so
     every worker's engine copy is bit-identical to the parent's by
     construction.
 
@@ -794,16 +796,19 @@ class WorkerPool:
         ]
         self.owner: list[int] = [r % w for r in range(p)]
         self.blocks: list[SharedArrayBlock] = []
-        if engine.batch_mode:
-            for rank in engine.ranks:
-                block = share_state_arrays(rank.states)
-                if block is not None:
-                    self.blocks.append(block)
+        for rank in engine.ranks:
+            block = share_state_arrays(rank.states)
+            if block is not None:
+                self.blocks.append(block)
+        #: Whether final states cross the pipe: state blocks without
+        #: arrays (object visitors' state objects) cannot be shared.
+        self.ship_states: bool = not self.blocks
 
-        #: Zero-pickle barrier transport (INTERNALS §14).  Only the batch
-        #: path emits frameable payloads, so the object path stays on the
-        #: pickled pipes.
-        self.use_ring: bool = engine.batch_mode
+        #: Zero-pickle barrier transport (INTERNALS §14) when the
+        #: algorithm's payload columns can be framed; object visitors stay
+        #: on the pickled pipes.
+        algo = engine.algorithm
+        self.use_ring: bool = frameable(algo.payload_dtype, *algo.batch_extra_dtypes)
         self.rings_tx: list[SpscRing] = []  # worker -> parent
         self.rings_rx: list[SpscRing] = []  # parent -> worker
         self._links: list[_RingLinks | None] = []
@@ -1422,13 +1427,14 @@ class WorkerSupervisor:
             return self._handle_failure(i, crash, msg, deadline, local)
 
     def finalize(self) -> tuple[dict, dict, int | None]:
-        """Gather final counters (and object-path states) from all live
+        """Gather final counters (and unshared states) from all live
         workers plus the parent's absorbed ranks."""
         counters: dict[int, object] = {}
         states: dict[int, object] = {}
         waves: int | None = None
+        ship = self.pool.ship_states
         outs = self._gather(
-            ("finalize",), lambda ranks: finalize_ranks(self.engine, ranks)
+            ("finalize", ship), lambda ranks: finalize_ranks(self.engine, ranks, ship)
         )
         for part_c, part_s, part_w in outs:
             counters.update(part_c)
@@ -1749,13 +1755,13 @@ class PoolRanks:
 
     def final(self) -> tuple[list, int | None, list]:
         """Final counters, wave count and states from the finalize
-        barrier: batch states are read zero-copy from the shared arenas,
+        barrier: array states are read zero-copy from the shared arenas,
         object states are pickled back once."""
         counters, states, waves = self.supervisor.finalize()
         eng = self.engine
         eng.ipc_counters = self.pool.ipc_counters()
         ranks = range(eng.graph.num_partitions)
-        if eng.batch_mode:
+        if not self.pool.ship_states:
             states = {r: eng.ranks[r].states for r in ranks}
         return [counters[r] for r in ranks], waves, [states[r] for r in ranks]
 

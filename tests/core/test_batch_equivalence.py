@@ -1,5 +1,6 @@
-"""The batch fast path's defining contract: bit-identical results and
-traversal stats to the object path.
+"""The native batch hooks' defining contract: bit-identical results and
+traversal stats to the algorithms' object twins (run through the adapter
+with ``batch=False``).
 
 Every configuration axis the engine exposes is crossed here — routing
 topology, DRAM vs NVRAM storage, cold vs warm page caches, multiple RMAT
@@ -20,7 +21,6 @@ from repro.algorithms.connected_components import connected_components
 from repro.algorithms.sssp import sssp
 from repro.bench.harness import build_rmat_graph, make_page_caches, pick_bfs_source
 from repro.core.traversal import run_traversal
-from repro.errors import TraversalError
 from repro.runtime.costmodel import EngineConfig, hyperion_dit, laptop
 
 SEEDS = [3, 11, 2024]
@@ -117,7 +117,7 @@ def test_fully_external_equivalence():
     source = pick_bfs_source(edges, seed=11)
     machine = _machine("nvram")
     obj = bfs(graph, source, machine=machine,
-              config=EngineConfig(page_vertex_state=True))
+              config=EngineConfig(page_vertex_state=True, batch=False))
     bat = bfs(graph, source, machine=machine,
               config=EngineConfig(page_vertex_state=True, batch=True))
     assert np.array_equal(obj.data.levels, bat.data.levels)
@@ -130,22 +130,28 @@ def test_oracle_and_arrival_order_equivalence():
     edges, graph = _graph(3)
     source = pick_bfs_source(edges, seed=3)
     cfg = dict(use_termination_detector=False, locality_ordering=False)
-    obj = bfs(graph, source, config=EngineConfig(**cfg))
+    obj = bfs(graph, source, config=EngineConfig(batch=False, **cfg))
     bat = bfs(graph, source, config=EngineConfig(batch=True, **cfg))
     assert np.array_equal(obj.data.levels, bat.data.levels)
     assert np.array_equal(obj.data.parents, bat.data.parents)
     assert _stats_key(obj.stats) == _stats_key(bat.stats)
 
 
-def test_batch_requires_supporting_algorithm():
-    # Every shipped algorithm now supports batch; an object-only algorithm
-    # (no supports_batch) must still be rejected loudly.
+def test_object_only_algorithm_runs_under_the_default_config():
+    """An algorithm without batch hooks runs under the default config
+    (``batch=True``) through the adapter, with stats equal to
+    ``batch=False`` and to the native hooks."""
     class ObjectOnly(BFSAlgorithm):
         supports_batch = False
 
-    _, graph = _graph(3)
-    with pytest.raises(TraversalError, match="batch"):
-        run_traversal(graph, ObjectOnly(0), batch=True)
+    edges, graph = _graph(3)
+    source = pick_bfs_source(edges, seed=3)
+    default = run_traversal(graph, ObjectOnly(source))
+    explicit = run_traversal(graph, ObjectOnly(source), batch=False)
+    native = bfs(graph, source)
+    assert _stats_key(default.stats) == _stats_key(explicit.stats)
+    assert _stats_key(default.stats) == _stats_key(native.stats)
+    assert np.array_equal(default.data.parents, native.data.parents)
 
 
 def test_batch_kwarg_overrides_config():

@@ -69,14 +69,18 @@ def test_replica_convergence(edges, p, source):
     if edges.num_edges < p:
         return
     graph = DistributedGraph.build(edges, p)
-    engine = SimulationEngine(graph, BFSAlgorithm(source), laptop())
-    states_per_rank, _ = engine.run()
-    for v in map(int, np.flatnonzero(graph.min_owners < graph.max_owners)):
-        chain = list(graph.replica_ranks(v))
-        master_state = states_per_rank[chain[0]][v - graph.partitions[chain[0]].state_lo]
-        for rank in chain[1:]:
-            replica = states_per_rank[rank][v - graph.partitions[rank].state_lo]
-            assert replica.length == master_state.length
+    for batch, length in ((True, lambda block, i: block.values[i]),
+                          (False, lambda block, i: block.states[i].length)):
+        engine = SimulationEngine(graph, BFSAlgorithm(source), laptop(),
+                                  config=EngineConfig(batch=batch))
+        states_per_rank, _ = engine.run()
+        for v in map(int, np.flatnonzero(graph.min_owners < graph.max_owners)):
+            chain = list(graph.replica_ranks(v))
+            lo = graph.partitions[chain[0]].state_lo
+            master = length(states_per_rank[chain[0]], v - lo)
+            for rank in chain[1:]:
+                lo = graph.partitions[rank].state_lo
+                assert length(states_per_rank[rank], v - lo) == master
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,5 @@
-"""Tests for Algorithm 1's per-rank visitor queue semantics.
+"""Tests for Algorithm 1's per-rank visitor queue semantics, driven by
+object visitors through :class:`~repro.core.object_adapter.ObjectAdapter`.
 
 A minimal *recording* algorithm drives the queue so the replica-forwarding
 and ghost-filter behaviour can be observed directly, without any real graph
@@ -11,10 +12,15 @@ import numpy as np
 import pytest
 
 from repro.algorithms.pagerank import PageRankVisitor
+from repro.core.batch import GhostArrayTable, VisitorBatch
+from repro.core.batch_queue import ScalarHeapImage
+from repro.core.object_adapter import (
+    ObjectAdapter,
+    ObjectStateBlock,
+    VisitorHeapImage,
+)
 from repro.core.traversal import run_traversal
 from repro.core.visitor import ROLE_GHOST, ROLE_MASTER, AsyncAlgorithm, Visitor
-from repro.core.batch_queue import ScalarHeapImage
-from repro.core.visitor_queue import HeapImage
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
 from repro.runtime.costmodel import EngineConfig
@@ -249,9 +255,11 @@ class TestCounters:
 
 
 class TestFullyExternalStatePaging:
-    def test_state_access_paged_and_correct(self, rmat_small):
+    @pytest.mark.parametrize("batch", [False, True], ids=["object", "batch"])
+    def test_state_access_paged_and_correct(self, rmat_small, batch):
         """Fully-external mode charges page touches for vertex state without
-        changing any result."""
+        changing any result (``VisitContext.state_of`` meters them for
+        object visitors)."""
         import numpy as np
 
         from repro.algorithms.bfs import bfs
@@ -262,9 +270,9 @@ class TestFullyExternalStatePaging:
         machine = hyperion_dit("nvram", cache_bytes_per_rank=16 * 1024,
                                page_size=256)
         s = int(rmat_small.src[0])
-        semi = bfs(g, s, machine=machine)
+        semi = bfs(g, s, machine=machine, batch=batch)
         full = bfs(g, s, machine=machine,
-                   config=EngineConfig(page_vertex_state=True))
+                   config=EngineConfig(page_vertex_state=True, batch=batch))
         assert np.array_equal(full.data.levels, bfs_levels(rmat_small, s))
         assert np.array_equal(full.data.levels, semi.data.levels)
         # fully-external performs strictly more page accesses
@@ -299,44 +307,46 @@ def _entries(heap):
 
 
 class TestHeapImage:
-    """Snapshots pickle column-wise and load back entry-for-entry equal."""
+    """Object-visitor heap snapshots pickle column-wise and load back
+    entry-for-entry equal.  Entries are the rank's five-field
+    ``(priority, tie, seq, vertex, visitor)``."""
 
     def _roundtrip(self, heap):
-        image = HeapImage(heap)
+        image = VisitorHeapImage(heap)
         back = pickle.loads(pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL))
-        assert type(back) is HeapImage
+        assert type(back) is VisitorHeapImage
         assert _entries(back) == _entries(heap)
         return back
 
     def test_single_class_heap(self):
-        heap = [(-0.5 * i, i % 3, i, PageRankVisitor(i % 7, 0.5 * i, 0.85, 1e-4))
+        heap = [(-0.5 * i, i % 3, i, i % 7, PageRankVisitor(i % 7, 0.5 * i, 0.85, 1e-4))
                 for i in range(50)]
         back = self._roundtrip(heap)
-        assert back[3][3] is not heap[3][3]  # rebuilt, not shared
+        assert back[3][4] is not heap[3][4]  # rebuilt, not shared
 
     def test_one_slot_class_and_mixed_classes(self):
-        heap = [(0, i, i, TouchVisitor(i) if i % 2 else PageRankVisitor(i, 1.0, 0.85, 0.5))
+        heap = [(0, i, i, i, TouchVisitor(i) if i % 2 else PageRankVisitor(i, 1.0, 0.85, 0.5))
                 for i in range(20)]
         self._roundtrip(heap)
-        self._roundtrip([(0, i, i, TouchVisitor(i)) for i in range(5)])
+        self._roundtrip([(0, i, i, i, TouchVisitor(i)) for i in range(5)])
 
     def test_empty_heap(self):
         assert self._roundtrip([]) == []
 
     def test_dict_visitors_pickle_whole(self):
-        heap = [(0, 1, 1, DictVisitor(3, "a")), (0, 2, 2, TouchVisitor(4))]
+        heap = [(0, 1, 1, 3, DictVisitor(3, "a")), (0, 2, 2, 4, TouchVisitor(4))]
         back = self._roundtrip(heap)
-        assert back[0][3].note == "a"
+        assert back[0][4].note == "a"
 
     def test_unset_slot_pickles_whole(self):
         v = PageRankVisitor.__new__(PageRankVisitor)
         v.vertex, v.amount = 1, 2.0
-        back = pickle.loads(pickle.dumps(HeapImage([(0, 1, 1, v)])))
-        assert (back[0][3].vertex, back[0][3].amount) == (1, 2.0)
-        assert not hasattr(back[0][3], "damping")
+        back = pickle.loads(pickle.dumps(VisitorHeapImage([(0, 1, 1, 1, v)])))
+        assert (back[0][4].vertex, back[0][4].amount) == (1, 2.0)
+        assert not hasattr(back[0][4], "damping")
 
     def test_scalar_heap_image(self):
-        """The batch path's heap pickles memo-free and loads back equal,
+        """The native batch heap pickles memo-free and loads back equal,
         types included."""
         heap = [(0.5 * i, i, i, i % 5, 0.25 * i, -i) for i in range(40)]
         back = pickle.loads(pickle.dumps(ScalarHeapImage(heap)))
@@ -351,4 +361,117 @@ class TestHeapImage:
 
         eng = SimulationEngine(hub_graph, TouchAll(), laptop())
         snap = eng.ranks[0].snapshot_state()
-        assert isinstance(snap["heap"], HeapImage)
+        assert isinstance(snap["heap"], VisitorHeapImage)
+        assert isinstance(snap["arrays"], list)  # the state objects, deep-copied
+
+
+class TestAdapter:
+    """The adapter's batch hooks, one at a time."""
+
+    def test_engine_wraps_only_without_native_hooks(self, hub_graph):
+        from repro.algorithms.bfs import BFSAlgorithm
+        from repro.runtime.costmodel import EngineConfig, laptop
+        from repro.runtime.engine import SimulationEngine
+
+        native = SimulationEngine(hub_graph, BFSAlgorithm(0), laptop())
+        twin = SimulationEngine(hub_graph, BFSAlgorithm(0), laptop(),
+                                config=EngineConfig(batch=False))
+        user = SimulationEngine(hub_graph, TouchAll(), laptop())
+        assert isinstance(native.algorithm, BFSAlgorithm)
+        assert isinstance(twin.algorithm, ObjectAdapter)
+        assert isinstance(user.algorithm, ObjectAdapter)
+        assert twin.algorithm.name == "bfs" and user.algorithm.name == "touch-all"
+
+    def test_state_block_rows_and_roles(self):
+        adapter = ObjectAdapter(TouchAll())
+        block = adapter.make_state_arrays(
+            np.array([4, 5, 6]), np.array([1, 2, 3]), ROLE_MASTER,
+            masters=np.array([True, False, True]),
+        )
+        assert [s.role for s in block.states] == [ROLE_MASTER, "replica", ROLE_MASTER]
+        ghosts = adapter.make_state_arrays(np.array([1, 2]), np.array([5, 5]), ROLE_GHOST)
+        assert [s.role for s in ghosts.states] == [ROLE_GHOST, ROLE_GHOST]
+
+    def test_previsit_runs_in_arrival_order(self):
+        """Duplicates resolve sequentially: the accept-once visitor passes
+        on its row's first arrival only."""
+        block = ObjectStateBlock([RecordingState(ROLE_MASTER) for _ in range(3)])
+        visitors = [TouchVisitor(v) for v in (2, 0, 2, 1, 0)]
+        payloads = np.empty(5, dtype=object)
+        payloads[:] = visitors
+        mask = block.previsit_batch(np.array([2, 0, 2, 1, 0]),
+                                    VisitorBatch(np.array([2, 0, 2, 1, 0]), payloads))
+        assert mask.tolist() == [True, True, False, True, False]
+        assert [s.seen for s in block.states] == [2, 1, 2]
+
+    def test_snapshot_is_deep_and_restore_keeps_it_pristine(self):
+        block = ObjectStateBlock([RecordingState(ROLE_MASTER)])
+        snap = block.snapshot()
+        block.states[0].seen = 5
+        block.restore(snap)
+        block.states[0].seen = 7
+        block.restore(snap)
+        assert block.states[0].seen == 0
+
+    def test_priorities_are_the_visitors(self):
+        adapter = ObjectAdapter(TouchAll())
+        payloads = np.empty(2, dtype=object)
+        payloads[:] = [PageRankVisitor(1, 0.5, 0.85, 1e-4), TouchVisitor(2)]
+        assert adapter.batch_priorities(payloads).tolist() == [-0.5, 0]
+
+    def test_initial_batch_packs_the_visitors(self, hub_graph):
+        batch = ObjectAdapter(TouchAll()).initial_batch(hub_graph, 0)
+        masters = [int(v) for v in hub_graph.masters_on(0)]
+        assert batch.vertices.tolist() == masters
+        assert [v.vertex for v in batch.payloads] == masters
+        assert batch.payloads.dtype == object
+
+    def test_dict_visitors_run_end_to_end(self, hub_graph):
+        """A visitor without ``__slots__`` rides the object payload column."""
+
+        class NoteAll(TouchAll):
+            def initial_visitors(self, graph, rank):
+                for v in graph.masters_on(rank):
+                    yield DictVisitor(int(v), f"v{int(v)}")
+
+        result = run_traversal(hub_graph, NoteAll())
+        assert result.stats.total_pushes == 17
+
+
+class TestObjectGhostTable:
+    """The ghost filter over an object state block."""
+
+    def _table(self, vertices):
+        return GhostArrayTable(
+            np.array(vertices),
+            ObjectStateBlock([RecordingState(ROLE_GHOST) for _ in vertices]),
+        )
+
+    def test_filter_kills_the_second_arrival(self):
+        table = self._table([3, 7])
+        assert len(table) == 2
+        visitors = np.empty(4, dtype=object)
+        visitors[:] = [TouchVisitor(v) for v in (7, 4, 7, 3)]
+        keep, previsits, filtered = table.filter(np.array([7, 4, 7, 3]), visitors)
+        assert keep.tolist() == [True, True, False, True]
+        assert (previsits, filtered) == (3, 1)
+        assert (table.filter_hits, table.filter_passes) == (1, 2)
+        assert [s.seen for s in table.state.states] == [1, 2]
+
+    def test_snapshot_restore(self):
+        table = self._table([1, 2])
+        snap = table.snapshot_state()
+        visitors = np.empty(1, dtype=object)
+        visitors[:] = [TouchVisitor(2)]
+        table.filter(np.array([2]), visitors)
+        table.restore_state(snap)
+        assert [s.seen for s in table.state.states] == [0, 0]
+        assert table.filter_passes == 0
+
+    def test_vertices_must_ascend(self):
+        with pytest.raises(ValueError, match="ascending"):
+            self._table([9, 1, 5])
+
+    def test_filter_counters_start_zero(self):
+        table = self._table([1])
+        assert table.filter_hits == 0 and table.filter_passes == 0

@@ -1,9 +1,10 @@
-"""Tests for ghost-vertex selection and tables."""
+"""Tests for ghost-vertex selection.  The ghost filter itself is
+``GhostArrayTable`` (tests/core/test_batch.py, tests/core/test_object_adapter.py)."""
 
 import numpy as np
 import pytest
 
-from repro.graph.ghosts import GhostTable, select_ghost_candidates
+from repro.graph.ghosts import select_ghost_candidates
 
 
 def _owners(n, value=99):
@@ -64,25 +65,3 @@ class TestSelection:
             np.array([], dtype=np.int64), num_ghosts=5, rank=0, min_owners=_owners(2)
         )
         assert got.size == 0
-
-
-class TestGhostTable:
-    def test_lookup(self):
-        table = GhostTable(np.array([3, 7]), lambda v: {"id": v})
-        assert len(table) == 2
-        assert table.has_local_ghost(3)
-        assert not table.has_local_ghost(4)
-        assert table.local_ghost(7) == {"id": 7}
-
-    def test_state_is_per_vertex(self):
-        table = GhostTable(np.array([1, 2]), lambda v: [v])
-        table.local_ghost(1).append(99)
-        assert table.local_ghost(2) == [2]
-
-    def test_vertices_sorted(self):
-        table = GhostTable(np.array([9, 1, 5]), lambda v: None)
-        assert table.vertices() == [1, 5, 9]
-
-    def test_filter_counters_start_zero(self):
-        table = GhostTable(np.array([1]), lambda v: None)
-        assert table.filter_hits == 0 and table.filter_passes == 0

@@ -121,9 +121,12 @@ def bounded_graph():
 def test_bounded_mailbox_cell(algorithm, topology, cap, bounded_graph, monkeypatch):
     """Mailbox cap on the plain fabric: the batch path ships each hop's
     full packets as one train, yet every stat — ``spill_io_us`` and
-    ``time_us`` included — matches the object path's per-packet sends.
-    The spill pager's page hits depend on where read-backs split, so a
-    train must read back once per packet, in the packets' stream order."""
+    ``time_us`` included — matches per-packet sends.  The reference arm
+    runs the object twin on the same fabric with trains turned off, so
+    each packet leaves alone at its filling message, as per-message
+    sends would.  The spill pager's page hits depend on where
+    read-backs split, so a train must read back once per packet, in the
+    packets' stream order."""
     counts = []
     send = Network.send_packet
 
@@ -133,11 +136,10 @@ def test_bounded_mailbox_cell(algorithm, topology, cap, bounded_graph, monkeypat
 
     monkeypatch.setattr(Network, "send_packet", recording)
     run, data = BOUNDED[algorithm]
-    obj = run(bounded_graph, topology=topology, batch=False, mailbox_cap=cap)
-    if topology == "direct":
-        # no transit hops, so only per-message sends (2d forwards through
-        # the segment pass on both paths)
-        assert max(counts) == 1
+    with monkeypatch.context() as m:
+        m.setattr(Network, "packet_trains", False)
+        obj = run(bounded_graph, topology=topology, batch=False, mailbox_cap=cap)
+    assert max(counts) == 1  # every packet sent alone
     counts.clear()
     bat = run(bounded_graph, topology=topology, batch=True, mailbox_cap=cap)
     assert max(counts) > 1  # trains actually engaged

@@ -34,6 +34,7 @@ class BuggyBFSVisitor(BFSVisitor):
 
 class BuggyBFS(BFSAlgorithm):
     name = "buggy-bfs"
+    supports_batch = False  # the bug lives in the object visitor
 
     def initial_visitors(self, graph, rank):
         if rank == graph.min_owner(self.source):
@@ -66,6 +67,7 @@ class TestValidatorCatchesBuggyAlgorithms:
     def test_off_by_one_levels_detected(self, rmat_small):
         class OffByOneBFS(BFSAlgorithm):
             name = "off-by-one-bfs"
+            supports_batch = False  # the bug lives in the object visitor
 
             def initial_visitors(self, graph, rank):
                 if rank == graph.min_owner(self.source):
@@ -90,6 +92,7 @@ class TestWhyCountingAlgorithmsCannotUseGhosts:
 
         class IllegalGhostKCore(KCoreAlgorithm):
             uses_ghosts = True  # the violation
+            supports_batch = False  # ghost state objects for the counting pre_visit
 
         # Star: hub 0 with 32 degree-1 leaves.  Every leaf dies instantly
         # and must deliver its removal notification to the hub; the correct

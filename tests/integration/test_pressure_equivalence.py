@@ -88,12 +88,11 @@ def assert_equivalent(algorithm, pressured, baseline):
     assert ps.termination_waves == bs.termination_waves
 
 
-# kcore is object-path only (no supports_batch); the others run both modes.
 MATRIX = [
     (alg, topology, batch)
     for alg in ("bfs", "sssp", "cc", "kcore")
     for topology in ("direct", "2d")
-    for batch in ((False, True) if alg != "kcore" else (False,))
+    for batch in (False, True)
 ]
 
 

@@ -28,7 +28,8 @@ from repro.algorithms.kcore import kcore
 from repro.algorithms.pagerank import pagerank
 from repro.bench.harness import build_rmat_graph
 from repro.comm.faults import CrashEvent, FaultPlan, WorkerFaultPlan
-from repro.runtime.costmodel import EngineConfig, laptop
+from repro.memory.faults import StorageFaultPlan
+from repro.runtime.costmodel import EngineConfig, hyperion_dit, laptop
 from repro.runtime.engine import SimulationEngine
 from repro.runtime.trace import SUPERVISION_STATS_FIELDS
 
@@ -129,7 +130,7 @@ def test_chaos_cell(algorithm, scenario, graph, sequential):
 
 
 def test_object_path_heals(graph):
-    """The object (non-batch) path pickles states back at finalize; a
+    """Object visitors' state blocks are pickled back at finalize; a
     respawned worker must ship the restored-and-replayed copies."""
     seq = bfs(graph, 0, batch=False)
     par = bfs(graph, 0, batch=False, workers=WORKERS,
@@ -222,6 +223,35 @@ def test_worker_kill_composes_with_memory_pressure(graph):
               worker_faults=WorkerFaultPlan.from_spec("seed=7,kill=5:2"),
               worker_restarts=2)
     assert par.stats.worker_respawns >= 1
+    assert_healed_identical("bfs", seq, par)
+
+
+@pytest.mark.parametrize("restarts", [2, 0], ids=["respawn", "degrade"])
+@pytest.mark.parametrize("batch", [False, True], ids=["object", "batch"])
+def test_worker_kill_composes_with_storage_faults(graph, batch, restarts):
+    """Storage faults on NVRAM page caches: full-scope rank images carry
+    the fault injector's RNG stream, whose position depends only on the
+    miss count, so a respawned worker (or the parent absorbing its ranks)
+    draws the same retries, spikes and torn pages.  This graph's page
+    misses all land in ticks 1-4, so the kill replays tick 3 from the
+    tick-2 epoch, where a stale stream would draw different faults."""
+    kw = dict(
+        batch=batch,
+        machine=hyperion_dit("nvram", cache_bytes_per_rank=1024, page_size=256),
+        storage_faults=StorageFaultPlan(seed=5, read_error_rate=0.2,
+                                        spike_rate=0.05, torn_rate=0.05),
+        reliable=True, checkpoint_interval=2,
+    )
+    seq = bfs(graph, 0, **kw)
+    assert seq.stats.storage_retries > 0, "storage cell draws no retries"
+    par = bfs(graph, 0, workers=WORKERS, worker_restarts=restarts,
+              worker_faults=WorkerFaultPlan.from_spec("seed=7,kill=4:2"), **kw)
+    assert par.stats.worker_crashes == 1
+    assert par.stats.worker_replayed_ticks >= 1
+    if restarts:
+        assert par.stats.worker_respawns == 1
+    else:
+        assert par.stats.degraded_ranks >= 1
     assert_healed_identical("bfs", seq, par)
 
 

@@ -310,16 +310,6 @@ def test_worker_fault_config_guards():
         EngineConfig(workers=2, worker_barrier_timeout=0.0)
 
 
-def test_worker_faults_reject_storage_faults():
-    from repro.comm.faults import WorkerFaultPlan
-    from repro.memory.faults import StorageFaultPlan
-
-    with pytest.raises(ConfigurationError, match="storage"):
-        EngineConfig(workers=2,
-                     worker_faults=WorkerFaultPlan.from_spec("kill=4:1"),
-                     storage_faults=StorageFaultPlan(seed=1))
-
-
 def test_fault_plan_rank_out_of_range_rejected(graph):
     """A plan naming a rank the partition count doesn't have is refused at
     supervisor construction, not silently ignored."""

@@ -109,10 +109,11 @@ class TestFaultFlags:
         with pytest.raises(ConfigurationError):
             main(["bfs", "--scale", "7", "-p", "4", "--faults", "bogus=1"])
 
-    def test_bfs_batch_flag(self, capsys):
-        rc = main(["bfs", "--scale", "7", "-p", "4", "--batch"])
-        assert rc == 0
-        assert "MTEPS" in capsys.readouterr().out
+    def test_batch_flag_is_gone(self):
+        """Native batch hooks are the default; no flag selects them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bfs", "--scale", "7", "-p", "4", "--batch"])
+        assert exc.value.code == 2
 
 
 class TestExperiment:
@@ -188,8 +189,10 @@ class TestProfile:
         assert "hottest" in out  # profile table present
         assert "visits" in out   # traversal summary present
 
-    def test_profile_cc_batch(self, capsys):
-        rc = main(["profile", "cc", "--scale", "7", "-p", "4", "--batch",
-                   "--top", "5"])
+    def test_profile_cc_runs_the_batch_hooks(self, capsys):
+        rc = main(["profile", "cc", "--scale", "7", "-p", "4", "--top", "40"])
         assert rc == 0
-        assert "hottest" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "hottest" in out
+        assert "batch_queue.py" in out
+        assert "object_adapter.py" not in out
