@@ -6,10 +6,10 @@ path, and the batch path under the process-parallel executor
 (``workers=N``), checks that all three produce identical results and
 traversal stats (the batch path's and parallel executor's defining
 contract), and reports the host wall-clock speedups.  The parallel leg
-records its shared-memory ring telemetry (``ipc_frames``,
-``ipc_bytes_pickled``, ``barrier_seconds``); a clean ring run that pickles
-any tick-barrier bytes (``ring_zero_pickle`` false) fails the run like a
-divergence, because the zero-pickle fast path leaked.  Also reports — never
+records its barrier-frame telemetry (``ipc_frames``,
+``ipc_bytes_pickled``, ``barrier_seconds``); a run that pickles any
+tick-barrier bytes (``zero_pickle`` false) fails the run like a
+divergence, because ticks must cross the worker pipe as frames.  Also reports — never
 gates — the reliable-delivery transport's no-fault overhead (host time,
 simulated time and protocol bytes vs the plain fabric) and the
 bounded-mailbox ledger's no-pressure overhead (a cap high enough that
@@ -190,19 +190,14 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
         )
         entry["workers"] = workers
         entry["parallel_seconds"] = round(par_s, 4)
-        # IPC transport columns (INTERNALS §14).  The zero-pickle contract
-        # gates below: a clean ring run (no overflow spills) must move 0
-        # pickled bytes on tick barriers, or the fast path silently leaked.
-        entry["ipc_transport"] = par.ipc["transport"]
+        # Barrier-frame columns (INTERNALS §14).  The zero-pickle contract
+        # gates below: tick barriers must move 0 pickled bytes.
         entry["ipc_frames"] = par.ipc["frames"]
         entry["ipc_frame_bytes"] = par.ipc["frame_bytes"]
         entry["ipc_bytes_pickled"] = par.ipc["bytes_pickled"]
         entry["ipc_tick_bytes_pickled"] = par.ipc["tick_bytes_pickled"]
-        entry["ipc_ring_spills"] = par.ipc["ring_spills"]
         entry["barrier_seconds"] = par.ipc["barrier_seconds"]
-        entry["ring_zero_pickle"] = (
-            par.ipc["tick_bytes_pickled"] == 0 or par.ipc["ring_spills"] > 0
-        )
+        entry["zero_pickle"] = par.ipc["tick_bytes_pickled"] == 0
         # Host speedup of the parallel executor over the sequential batch
         # path (same kernel, fanned out).  Honest number for *this* host;
         # meaningless without host_cores alongside it — and meaningless
@@ -332,8 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             hs = entry["host_speedup"]
             hs_txt = (f"{hs:.2f}x batch" if isinstance(hs, float)
                       else "host_speedup n/a: host_cores < 2")
-            line += (f"   parallel[{entry['workers']}w,"
-                     f"{entry['ipc_transport']}] "
+            line += (f"   parallel[{entry['workers']}w] "
                      f"{entry['parallel_seconds']:.3f}s "
                      f"({hs_txt})   "
                      f"({entry['ipc_frames']} frames, "
@@ -356,10 +350,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"the plain parallel run at workers={args.workers}",
                   file=sys.stderr)
             diverged = True
-        if not entry.get("ring_zero_pickle", True):
-            print(f"FAIL: {name} ring transport pickled "
-                  f"{entry['ipc_tick_bytes_pickled']} tick bytes with no "
-                  f"overflow spill — the zero-pickle fast path leaked",
+        if not entry.get("zero_pickle", True):
+            print(f"FAIL: {name} tick barriers pickled "
+                  f"{entry['ipc_tick_bytes_pickled']} bytes — ticks must "
+                  f"cross the worker pipe as frames",
                   file=sys.stderr)
             diverged = True
     if diverged:

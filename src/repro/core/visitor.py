@@ -94,7 +94,8 @@ class AsyncAlgorithm(ABC):
     #: :class:`~repro.core.object_adapter.ObjectAdapter`, which implements
     #: those hooks by calling ``pre_visit`` / ``visit`` per visitor.  A
     #: subclass of a built-in that changes its visitors must set this
-    #: False, or its native hooks run instead of the new visitors.
+    #: False; the engine refuses one that overrides ``initial_visitors``,
+    #: ``make_state`` or ``finalize`` without the batch twin.
     supports_batch: bool = False
     #: Dtype of the batch payload array (BFS length, SSSP distance, CC
     #: label, triangle ``second``, PageRank residual amount).

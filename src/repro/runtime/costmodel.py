@@ -127,8 +127,8 @@ class EngineConfig:
     #: counters and spill/cache charges the one tick loop merges at a
     #: deterministic per-tick barrier in canonical rank order, so stats,
     #: result arrays, wire-level transport counters and order digests stay
-    #: bit-identical to ``workers=1``.  Batch-mode barriers ride
-    #: shared-memory rings (INTERNALS §14).  Wall-clock only; requires a
+    #: bit-identical to ``workers=1``.  Ticks cross the worker pipes
+    #: as SoA packet frames (INTERNALS §14).  Wall-clock only; requires a
     #: platform with the ``fork`` start method (Linux).
     workers: int = 1
     #: Fault plan for the simulated fabric (``repro.comm.faults.FaultPlan``;

@@ -415,7 +415,7 @@ class DurabilityManager:
             # Highest protocol (5): framed numpy buffers serialize without
             # the protocol-4 bytes-object copy — epoch images are the
             # biggest residual pickle producer now that barrier traffic
-            # rides the shared-memory rings.
+            # crosses as packet frames.
             (name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
             for name, obj in sections
         ]

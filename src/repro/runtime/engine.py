@@ -63,6 +63,33 @@ from repro.runtime.pressure import StragglerClock
 from repro.runtime.recovery import RecoveryManager, estimate_checkpoint_bytes
 from repro.runtime.trace import TickSample, TraversalStats
 
+#: Object hooks and the batch twins that replace them on the native path.
+_BATCH_TWINS = (
+    ("initial_visitors", "initial_batch"),
+    ("make_state", "make_state_arrays"),
+    ("finalize", "finalize_batch"),
+)
+
+
+def _check_batch_twins(algorithm: AsyncAlgorithm) -> None:
+    """Refuse an algorithm whose class overrides an object hook below the
+    classes that define its batch twin and ``supports_batch``: the native
+    batch hooks would run and silently ignore the override."""
+    mro = type(algorithm).__mro__
+
+    def owner(name: str) -> int:
+        return next((i for i, cls in enumerate(mro) if name in vars(cls)), len(mro))
+
+    for obj_hook, batch_hook in _BATCH_TWINS:
+        depth = owner(obj_hook)
+        if depth < owner(batch_hook) and depth < owner("supports_batch"):
+            raise ConfigurationError(
+                f"{mro[depth].__name__} overrides {obj_hook} but not "
+                f"{batch_hook}, and the native batch hooks would ignore the "
+                f"override; set supports_batch = False to run its object "
+                f"visitors"
+            )
+
 
 class SimulationEngine:
     """Run one asynchronous traversal on a simulated distributed machine."""
@@ -195,7 +222,9 @@ class SimulationEngine:
         #: The algorithm the ranks run: its native batch hooks, or — without
         #: them, or with ``batch=False`` — its object visitors through the
         #: adapter (INTERNALS §7).  ``algorithm`` stays the caller's.
-        if not (self.config.batch and algorithm.supports_batch):
+        if self.config.batch and algorithm.supports_batch:
+            _check_batch_twins(algorithm)
+        else:
             self.algorithm = ObjectAdapter(algorithm)
         self.algorithm.bind(graph)
         self.ranks: list[BatchVisitorQueueRank] = []
@@ -203,12 +232,19 @@ class SimulationEngine:
             ghost_table = None
             ghosts = np.sort(graph.partitions[r].ghost_candidates)
             if self.algorithm.uses_ghosts and ghosts.size:
-                ghost_table = GhostArrayTable(
-                    ghosts,
-                    self.algorithm.make_state_arrays(
-                        ghosts, graph.global_out_degrees[ghosts], ROLE_GHOST
-                    ),
+                ghost_state = self.algorithm.make_state_arrays(
+                    ghosts, graph.global_out_degrees[ghosts], ROLE_GHOST
                 )
+                if not hasattr(ghost_state, "previsit"):
+                    # Ghosts filter with the monotonic pre-visit; counting
+                    # state blocks (k-core, triangles) have none.
+                    raise ConfigurationError(
+                        f"{algorithm.name} sets uses_ghosts = True, but its "
+                        f"ghost state block ({type(ghost_state).__name__}) has "
+                        f"no previsit filter; counting algorithms cannot use "
+                        f"ghosts"
+                    )
+                ghost_table = GhostArrayTable(ghosts, ghost_state)
             state_pager = None
             if self.config.page_vertex_state and self.caches[r] is not None:
                 # fully-external mode: vertex state shares the rank's page

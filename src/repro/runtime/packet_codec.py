@@ -4,11 +4,10 @@ The parallel executor's barrier traffic is lists of
 :class:`~repro.comm.message.Packet` — batch-path payloads are
 :class:`~repro.core.batch.VisitorBatch` column blocks, control payloads
 are the termination detector's small tuples.  Pickling those object
-graphs per tick is what PR 6's pipe transport paid for every barrier;
+graphs per tick is what the first pipe transport paid for every barrier;
 this codec flattens the same structure into a handful of contiguous
-numpy columns (struct-of-arrays, one ``frombuffer`` each to decode) so a
-frame can be memcpy'd through a :class:`~repro.runtime.shm_ring.SpscRing`
-with zero pickled bytes.
+numpy columns (struct-of-arrays, one ``frombuffer`` each to decode), and
+the executor sends each frame as one raw message on the worker pipe.
 
 Frame layout (little-endian, in order)::
 
@@ -23,25 +22,28 @@ Frame layout (little-endian, in order)::
              payloads / parents / per-extra columns
     controls arity u8 per tuple, then per-value type codes u8 and
              values i64
+    pickled  one pickle of the list of pickled payloads (present only
+             when some envelope has the pickled type code)
 
-Everything a steady-state tick of native batch hooks emits is encodable;
-anything else — object visitors in an ``object`` payload column, an
-unregistered control string, batch
-envelopes with heterogeneous column schemas — raises
-:class:`UnframeablePayload` and the caller falls back to the pickled
-pipe, which is always correct.  Decoding is exact: dtypes, ``seq``/``ack``
-stamps, packet-train counts, per-message byte sizes, control value
-*types* (``bool`` vs ``int``) all round-trip, so the parent's barrier
-merge replays bit-identical packets whether they travelled as frames or
-as pickles.
+The codec is total.  Every payload a steady-state tick of native batch
+hooks emits takes the SoA columns; any other payload crosses in the
+pickled tail instead: a batch with an ``object`` or otherwise unsupported
+column dtype (object visitors run through the adapter), a batch whose
+column schema differs from the frame's (the first batch fixes it), a
+control tuple holding anything but bools, int64s and registered strings
+(or more than 255 values).
+Decoding is exact: dtypes, ``seq``/``ack`` stamps, packet-train counts,
+per-message byte sizes, control value *types* (``bool`` vs ``int``) all
+round-trip, so the parent's barrier merge replays bit-identical packets.
 
 Decoded batch columns are numpy views over the frame buffer — pass a
-writable buffer (``bytearray``, as :meth:`SpscRing.read` returns) so the
-reconstructed batches are mutable like their pickled twins.
+writable buffer (``bytearray``) so the reconstructed batches are mutable;
+pickled payloads are unpickled into fresh, writable arrays.
 """
 
 from __future__ import annotations
 
+import pickle
 import struct
 
 import numpy as np
@@ -50,18 +52,11 @@ from repro.comm.message import Envelope, Packet
 from repro.core.batch import VisitorBatch
 
 __all__ = [
-    "UnframeablePayload",
     "decode_ints",
     "decode_packets",
     "encode_ints",
     "encode_packets",
-    "frameable",
 ]
-
-
-class UnframeablePayload(Exception):
-    """The packet list carries content the SoA frame format cannot
-    represent; ship it over the pickled pipe instead."""
 
 
 _HEADER = struct.Struct("<IIIII")
@@ -69,6 +64,7 @@ _HEADER = struct.Struct("<IIIII")
 #: Envelope payload type codes.
 _PT_BATCH = 0
 _PT_CONTROL = 1
+_PT_PICKLE = 2
 
 #: Control tuple value type codes (bool before int: bool is an int).
 _CV_INT = 0
@@ -76,10 +72,11 @@ _CV_BOOL = 1
 _CV_STR = 2
 
 #: The registered control strings (the termination detector's message
-#: tags — see ``repro/comm/termination.py``).  Any other string payload
-#: value makes the packet list unframeable.
+#: tags — see ``repro/comm/termination.py``).  A tuple holding any other
+#: string crosses pickled.
 _CONTROL_STRINGS = ("probe", "reply", "terminate")
 _CONTROL_CODES = {s: i for i, s in enumerate(_CONTROL_STRINGS)}
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: Supported column dtypes, by wire code.
 _DTYPES = tuple(
@@ -93,16 +90,39 @@ _DTYPES = tuple(
 _DTYPE_CODES = {dt: i for i, dt in enumerate(_DTYPES)}
 
 
-def frameable(*dtypes) -> bool:
-    """Whether batch columns of these dtypes fit the frame format."""
-    return all(np.dtype(dt) in _DTYPE_CODES for dt in dtypes)
+def _batch_schema(batch: VisitorBatch) -> tuple | None:
+    """``(v_code, p_code, par_code|None, extra codes)`` for ``batch``, or
+    None when a column's dtype has no wire code."""
+    codes = [
+        _DTYPE_CODES.get(col.dtype)
+        for col in (batch.vertices, batch.payloads, *batch.extras)
+    ]
+    par_code = None
+    if batch.parents is not None:
+        par_code = _DTYPE_CODES.get(batch.parents.dtype)
+        codes.append(par_code)
+    if None in codes:
+        return None
+    return codes[0], codes[1], par_code, tuple(codes[2:2 + len(batch.extras)])
 
 
-def _dtype_code(dtype: np.dtype) -> int:
-    code = _DTYPE_CODES.get(dtype)
-    if code is None:
-        raise UnframeablePayload(f"unsupported column dtype {dtype}")
-    return code
+def _control_row(values: tuple) -> list[tuple[int, int]] | None:
+    """``(type code, int64 value)`` per control value, or None when the
+    tuple is too long for its u8 arity or a value is not a bool, an int64
+    or a registered string."""
+    if len(values) > 0xFF:
+        return None
+    row = []
+    for value in values:
+        if isinstance(value, bool):
+            row.append((_CV_BOOL, int(value)))
+        elif isinstance(value, int) and _I64_MIN <= value <= _I64_MAX:
+            row.append((_CV_INT, value))
+        elif isinstance(value, str) and value in _CONTROL_CODES:
+            row.append((_CV_STR, _CONTROL_CODES[value]))
+        else:
+            return None
+    return row
 
 
 # ---------------------------------------------------------------------- #
@@ -110,8 +130,7 @@ def _dtype_code(dtype: np.dtype) -> int:
 # ---------------------------------------------------------------------- #
 def encode_packets(packets: list[Packet]) -> bytes:
     """Flatten ``packets`` into one frame payload (see module docstring).
-    Raises :class:`UnframeablePayload` for anything the format cannot
-    carry — the caller must fall back to the pipe."""
+    Total: payloads outside the SoA schema cross in the pickled tail."""
     n_packets = len(packets)
     pkt_src = np.empty(n_packets, dtype=np.int32)
     pkt_dst = np.empty(n_packets, dtype=np.int32)
@@ -137,6 +156,8 @@ def encode_packets(packets: list[Packet]) -> bytes:
     ctl_types: list[int] = []
     ctl_vals: list[int] = []
 
+    pickled: list = []
+
     for i, pkt in enumerate(packets):
         pkt_src[i] = pkt.src
         pkt_dst[i] = pkt.hop_dest
@@ -151,57 +172,31 @@ def encode_packets(packets: list[Packet]) -> bytes:
             env_count.append(env.count)
             payload = env.payload
             if isinstance(payload, VisitorBatch):
-                env_ptype.append(_PT_BATCH)
-                sig = (
-                    _dtype_code(payload.vertices.dtype),
-                    _dtype_code(payload.payloads.dtype),
-                    None if payload.parents is None
-                    else _dtype_code(payload.parents.dtype),
-                    tuple(_dtype_code(e.dtype) for e in payload.extras),
-                )
-                if schema is None:
+                sig = _batch_schema(payload)
+                if schema is None and sig is not None:
                     schema = sig
                     vb_extras.extend([] for _ in sig[3])
-                elif sig != schema:
-                    # One frame carries one batch column schema; a tick of
-                    # one algorithm is homogeneous, so a mismatch means
-                    # mixed payload shapes — spill rather than guess.
-                    raise UnframeablePayload(
-                        "heterogeneous visitor-batch schemas in one frame"
-                    )
-                vb_lens.append(len(payload))
-                vb_vertices.append(payload.vertices.tobytes())
-                vb_payloads.append(payload.payloads.tobytes())
-                if payload.parents is not None:
-                    vb_parents.append(payload.parents.tobytes())
-                for j, extra in enumerate(payload.extras):
-                    vb_extras[j].append(extra.tobytes())
+                if sig is not None and sig == schema:
+                    env_ptype.append(_PT_BATCH)
+                    vb_lens.append(len(payload))
+                    vb_vertices.append(payload.vertices.tobytes())
+                    vb_payloads.append(payload.payloads.tobytes())
+                    if payload.parents is not None:
+                        vb_parents.append(payload.parents.tobytes())
+                    for j, extra in enumerate(payload.extras):
+                        vb_extras[j].append(extra.tobytes())
+                    continue
             elif isinstance(payload, tuple):
-                env_ptype.append(_PT_CONTROL)
-                ctl_arity.append(len(payload))
-                for value in payload:
-                    if isinstance(value, bool):
-                        ctl_types.append(_CV_BOOL)
-                        ctl_vals.append(int(value))
-                    elif isinstance(value, int):
-                        ctl_types.append(_CV_INT)
+                row = _control_row(payload)
+                if row is not None:
+                    env_ptype.append(_PT_CONTROL)
+                    ctl_arity.append(len(row))
+                    for code, value in row:
+                        ctl_types.append(code)
                         ctl_vals.append(value)
-                    elif isinstance(value, str):
-                        code = _CONTROL_CODES.get(value)
-                        if code is None:
-                            raise UnframeablePayload(
-                                f"unregistered control string {value!r}"
-                            )
-                        ctl_types.append(_CV_STR)
-                        ctl_vals.append(code)
-                    else:
-                        raise UnframeablePayload(
-                            f"control value of type {type(value).__name__}"
-                        )
-            else:
-                raise UnframeablePayload(
-                    f"envelope payload of type {type(payload).__name__}"
-                )
+                    continue
+            env_ptype.append(_PT_PICKLE)
+            pickled.append(payload)
 
     if schema is None:
         schema_bytes = b""
@@ -232,6 +227,8 @@ def encode_packets(packets: list[Packet]) -> bytes:
         np.asarray(ctl_types, dtype=np.uint8).tobytes(),
         np.asarray(ctl_vals, dtype=np.int64).tobytes(),
     ]
+    if pickled:
+        parts.append(pickle.dumps(pickled, protocol=pickle.HIGHEST_PROTOCOL))
     return b"".join(parts)
 
 
@@ -292,16 +289,19 @@ def decode_packets(buf) -> list[Packet]:
     ctl_arity, off = _take(buf, u8, n_ctl, off)
     ctl_types, off = _take(buf, u8, n_ctl_vals, off)
     ctl_vals, off = _take(buf, i64, n_ctl_vals, off)
+    pickled = pickle.loads(buf[off:]) if off < len(buf) else []
 
     packets: list[Packet] = []
     e = 0   # envelope cursor
     vb = 0  # batch cursor
     ct = 0  # control-tuple cursor
     cv = 0  # control-value cursor
+    pk = 0  # pickled-payload cursor
     for i in range(n_packets):
         envelopes: list[Envelope] = []
         for _ in range(int(pkt_nenv[i])):
-            if env_ptype[e] == _PT_BATCH:
+            ptype = env_ptype[e]
+            if ptype == _PT_BATCH:
                 lo, hi = int(bounds[vb]), int(bounds[vb + 1])
                 payload = VisitorBatch(
                     vertices[lo:hi],
@@ -310,7 +310,7 @@ def decode_packets(buf) -> list[Packet]:
                     tuple(col[lo:hi] for col in extras_cols),
                 )
                 vb += 1
-            else:
+            elif ptype == _PT_CONTROL:
                 arity = int(ctl_arity[ct])
                 values = []
                 for k in range(cv, cv + arity):
@@ -324,6 +324,9 @@ def decode_packets(buf) -> list[Packet]:
                 payload = tuple(values)
                 cv += arity
                 ct += 1
+            else:
+                payload = pickled[pk]
+                pk += 1
             envelopes.append(
                 Envelope(
                     dest=int(env_dest[e]),

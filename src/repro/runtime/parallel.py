@@ -39,6 +39,13 @@ are where determinism is re-established:
   are likewise folded in ascending rank order with the sequential
   per-rank float-addition order preserved.
 
+* **Barrier frames.**  A tick crosses the worker pipe in both directions
+  as a small token followed by its packets as SoA frames
+  (:mod:`repro.runtime.packet_codec`, one raw pipe message each); the
+  per-rank report scalars go into a shared counters table.  Control
+  commands (checkpoint, restore, replay, durable, finalize) stay pickled
+  envelopes.
+
 Checkpoints snapshot rank-local state *inside* the owning worker (the
 snapshot never crosses the process boundary; only its simulated byte size
 does), and crash replay re-executes the logged ticks in the owning worker
@@ -88,7 +95,7 @@ stats, matching the ``max_ticks`` behaviour.  With supervision active
   :data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS`).
 
 Injected worker faults (:class:`~repro.comm.faults.WorkerFaultPlan`) ride
-the tick command as directives: ``kill`` SIGKILLs the worker before it
+the tick token as directives: ``kill`` SIGKILLs the worker before it
 does the tick's work, ``hang`` completes the work and then sleeps past the
 deadline, ``exita`` hard-exits mid-phase-A, and ``forkfail`` consumes
 respawn attempts parent-side.
@@ -113,12 +120,10 @@ from repro.core.batch import SharedArrayBlock, share_state_arrays
 from repro.errors import ConfigurationError, TraversalError, WorkerCrash
 from repro.runtime import rank_image
 from repro.runtime.packet_codec import (
-    UnframeablePayload,
     decode_ints,
     decode_packets,
     encode_ints,
     encode_packets,
-    frameable,
 )
 from repro.runtime.recovery import (
     RecoveryManager,
@@ -127,7 +132,6 @@ from repro.runtime.recovery import (
     replay_price_us,
     replay_ticks,
 )
-from repro.runtime.shm_ring import RingIntegrityError, SpscRing
 from repro.runtime.trace import RankCounters, TraversalStats
 from repro.utils.rng import resolve_rng
 
@@ -224,15 +228,9 @@ class RankTickReport:
 
 
 # ---------------------------------------------------------------------- #
-# Pipe framing & shared-memory ring transport (INTERNALS §14)
+# Pipe framing: tokens, barrier frames, pickled envelopes (INTERNALS §14)
 # ---------------------------------------------------------------------- #
-#: Per-direction ring capacity.  16 MiB holds hundreds of ticks of frame
-#: traffic for the bench workloads; a tick that does not fit spills to the
-#: pickled pipe, which is always correct.  Module-level so tests can
-#: shrink it to force the overflow path.
-RING_BYTES = 1 << 24
-
-#: First byte of every pipe message: a pickled envelope or a fixed token.
+#: First byte of every command or reply: a pickled envelope or a token.
 _TAG_PICKLE = 0
 _TAG_TOKEN = 1
 #: Pickled-envelope header: tag + number of out-of-band buffers following.
@@ -241,9 +239,11 @@ _PICKLE_HDR = struct.Struct("<BI")
 _TOK_TICK = 1
 _TOK_OK = 2
 #: Parent -> worker tick token: tag, op, tick, n arrival frames, directive.
+#: Every token is followed by one u32 tag per frame, then by each frame as
+#: its own pipe message (see :func:`_send_frames`).
 _TICK_TOKEN = struct.Struct("<BBqIB")
 #: Worker -> parent barrier token: tag, op, n frames, flags (bit 0 = a
-#: pickled residue envelope follows on the pipe).
+#: pickled fault-residue envelope follows the frames).
 _OK_TOKEN = struct.Struct("<BBIB")
 _OK_RESIDUE = 1
 
@@ -277,19 +277,18 @@ _TI_EXTRA = 1 + len(REPORT_COUNTERS)
 _TBL_I64_COLS = _TI_EXTRA + len(_TABLE_INTS)
 
 
-@dataclass
-class _RingLinks:
-    """One worker's shared-memory attachments, created parent-side before
-    the fork and inherited through it (never pickled)."""
+def _send_frames(conn, token: bytes, frames: list[tuple[int, bytes]]) -> int:
+    """Send ``token`` with the frames' u32 tags appended, then each frame
+    payload as one raw pipe message.  Returns the payload byte count."""
+    conn.send_bytes(token + struct.pack(f"<{len(frames)}I", *(t for t, _ in frames)))
+    for _, payload in frames:
+        conn.send_bytes(payload)
+    return sum(len(payload) for _, payload in frames)
 
-    #: worker -> parent frame ring (barrier reports).
-    tx: SpscRing
-    #: parent -> worker frame ring (tick arrivals).
-    rx: SpscRing
-    #: per-rank scalar report columns (shared by all workers; each writes
-    #: only its owned rows).
-    table_i: np.ndarray
-    table_f: np.ndarray
+
+def _frame_tags(token: bytes, head: struct.Struct, n_frames: int) -> tuple[int, ...]:
+    """The u32 frame tags :func:`_send_frames` appended to ``token``."""
+    return struct.unpack_from(f"<{n_frames}I", token, head.size)
 
 
 def _send_obj(conn, obj) -> int:
@@ -325,7 +324,7 @@ def _recv_obj_tail(conn, first: bytes) -> tuple[object, int]:
 
 
 def _worker_recv(conn) -> tuple[str, object]:
-    """Worker-side receive: ``("tok", raw_bytes)`` for a fixed-size token,
+    """Worker-side receive: ``("tok", raw_bytes)`` for a tick token,
     ``("obj", message)`` for a pickled command."""
     data = conn.recv_bytes()
     if data[0] == _TAG_TOKEN:
@@ -336,72 +335,65 @@ def _worker_recv(conn) -> tuple[str, object]:
 # ---------------------------------------------------------------------- #
 # Worker process
 # ---------------------------------------------------------------------- #
-def _store_report_scalars(links: _RingLinks, r: int, rep: RankTickReport) -> None:
+def _store_report_scalars(table: tuple, r: int, rep: RankTickReport) -> None:
     """Write the scalar half of one rank's report into its shared
     counters-table row (the parent reads it back after the OK token)."""
-    row = links.table_i[r]
+    table_i, table_f = table
+    row = table_i[r]
     row[0] = rep.controls
     row[1:_TI_EXTRA] = rep.counters
     row[_TI_EXTRA:] = [int(getattr(rep, name)) for name in _TABLE_INTS]
-    links.table_f[r] = (rep.cache_us, rep.spill_us)
+    table_f[r] = (rep.cache_us, rep.spill_us)
 
 
-def _ship_tick_ring(conn, links: _RingLinks, out) -> None:
-    """Ship one tick's barrier output over the ring: scalars into the
-    counters table, packet/probe columns as ring frames, then the OK
-    token.  All-or-nothing — the frames are encoded and costed *before*
-    anything is written, so an unframeable payload or a full ring spills
-    the whole tick to the pickled pipe without desyncing the frame
-    sequence.  Fault records (rare; storage fault plans only) ride a
-    pickled residue envelope after the token."""
+def _recv_tick(conn, token: bytes) -> tuple[dict[int, list[Packet]], str | None]:
+    """Worker-side read of one tick command: the arrival frames that
+    follow ``token`` (one per rank with arrivals) and the directive."""
+    _, op, _tick, n_frames, dcode = _TICK_TOKEN.unpack_from(token)
+    if op != _TOK_TICK:  # pragma: no cover - protocol guard
+        raise RuntimeError(f"unknown worker token op {op}")
+    arrivals: dict[int, list[Packet]] = {}
+    for tag in _frame_tags(token, _TICK_TOKEN, n_frames):
+        arrivals[tag & 0xFFFF] = decode_packets(bytearray(conn.recv_bytes()))
+    return arrivals, _DIRECTIVE_NAMES[dcode]
+
+
+def _ship_tick(conn, table: tuple, out) -> None:
+    """Ship one tick's barrier output: scalars into the shared counters
+    table, then the OK token and the packet/probe columns as frames.
+    Every frame is encoded before the token goes out, so a worker that
+    fails while encoding replies with its error, never half a tick.  Fault
+    records (rare; storage fault plans only) ride a pickled residue
+    envelope after the frames."""
     reports, wave_packets = out
-    frames: list[tuple[int, bytes]] | None = []
-    try:
-        for r, rep in reports.items():
-            if rep.packets_a:
-                frames.append(
-                    (_frame_tag(_CH_PACKETS_A, r), encode_packets(rep.packets_a))
-                )
-        if wave_packets:
-            frames.append((_frame_tag(_CH_WAVE), encode_packets(wave_packets)))
-        for r, rep in reports.items():
-            if rep.packets_b:
-                frames.append(
-                    (_frame_tag(_CH_PACKETS_B, r), encode_packets(rep.packets_b))
-                )
-            if rep.probe is not None:
-                frames.append((_frame_tag(_CH_PROBE, r), encode_ints(rep.probe)))
-    except UnframeablePayload:
-        frames = None
-    if frames is not None:
-        need = sum(SpscRing.frame_cost(len(p)) for _, p in frames)
-        if need > links.tx.free():
-            frames = None
-    if frames is None:
-        # Whole-tick spill: the pickled residue is the exact pickled-pipe
-        # reply, so the parent replays it bit-identically.
-        conn.send_bytes(_OK_TOKEN.pack(_TAG_TOKEN, _TOK_OK, 0, _OK_RESIDUE))
-        _send_obj(conn, ("ok", {"spill": out}))
-        return
+    frames: list[tuple[int, bytes]] = []
+    for r, rep in reports.items():
+        if rep.packets_a:
+            frames.append((_frame_tag(_CH_PACKETS_A, r), encode_packets(rep.packets_a)))
+    if wave_packets:
+        frames.append((_frame_tag(_CH_WAVE), encode_packets(wave_packets)))
+    for r, rep in reports.items():
+        if rep.packets_b:
+            frames.append((_frame_tag(_CH_PACKETS_B, r), encode_packets(rep.packets_b)))
+        if rep.probe is not None:
+            frames.append((_frame_tag(_CH_PROBE, r), encode_ints(rep.probe)))
     faults: dict[int, tuple] = {}
     for r, rep in reports.items():
-        _store_report_scalars(links, r, rep)
+        _store_report_scalars(table, r, rep)
         if rep.cache_faults is not None or rep.spill_faults is not None:
             faults[r] = (rep.cache_faults, rep.spill_faults)
-    for tag, payload in frames:
-        links.tx.write(tag, payload)
     flags = _OK_RESIDUE if faults else 0
-    conn.send_bytes(_OK_TOKEN.pack(_TAG_TOKEN, _TOK_OK, len(frames), flags))
+    _send_frames(conn, _OK_TOKEN.pack(_TAG_TOKEN, _TOK_OK, len(frames), flags), frames)
     if faults:
-        _send_obj(conn, ("ok", {"faults": faults}))
+        _send_obj(conn, faults)
 
 
 def _worker_main(
     engine: "SimulationEngine",
     owned: list[int],
     conn,
+    table: tuple,
     seed_ranks: bool = True,
-    links: _RingLinks | None = None,
 ) -> None:
     """Entry point of one forked worker (owns ``owned`` ranks for life).
 
@@ -410,12 +402,10 @@ def _worker_main(
     fork-time copy; it sends a bare ready and waits for the ``restore``
     command to adopt the latest epoch images before rejoining barriers.
 
-    ``links`` carries the shared-memory ring attachments (inherited
-    through the fork).  Commands arrive either as fixed-size tokens (the
-    ring fast path: arrivals are frames in ``links.rx``, the reply goes
-    back through ``links.tx``) or as pickled envelopes (control plane and
-    correctness fallback) — the worker always replies in the transport
-    the command arrived on.
+    ``table`` is the shared counters table ``(int64, float64)`` (inherited
+    through the fork).  A tick arrives as a token followed by its arrival
+    frames and is answered the same way (:func:`_ship_tick`); every other
+    command is a pickled envelope answered by one.
     """
     try:
         stub = _StubNetwork(engine.network)
@@ -454,33 +444,20 @@ def _worker_main(
                     os._exit(0)
             kind, msg = _worker_recv(conn)
             if kind == "tok":
-                # Ring fast path: the whole tick command is one fixed-size
-                # token; arrivals are frames already sitting in the ring.
-                _, op, t, n_frames, dcode = _TICK_TOKEN.unpack(msg)
-                if op != _TOK_TICK:  # pragma: no cover - protocol guard
-                    raise RuntimeError(f"unknown worker token op {op}")
-                arrivals: dict[int, list[Packet]] = {}
-                for _ in range(n_frames):
-                    tag, payload = links.rx.read()
-                    arrivals[tag & 0xFFFF] = decode_packets(payload)
-                msg = ("tick", arrivals, _DIRECTIVE_NAMES[dcode])
-            cmd = msg[0]
-            if cmd == "tick":
-                inject = msg[2]
+                arrivals, inject = _recv_tick(conn, msg)
                 if inject == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 out = _worker_tick(
-                    engine, stub, owned, msg[1],
+                    engine, stub, owned, arrivals,
                     exit_mid_phase_a=(inject == "exita"),
                 )
                 if inject == "hang":
                     while True:  # hang *before* the barrier reply
                         time.sleep(1.0)
-                if kind == "tok":
-                    _ship_tick_ring(conn, links, out)
-                else:
-                    _send_obj(conn, ("ok", out))
-            elif cmd == "checkpoint":
+                _ship_tick(conn, table, out)
+                continue
+            cmd = msg[0]
+            if cmd == "checkpoint":
                 _send_obj(
                     conn, ("ok", _worker_checkpoint(engine, owned, snaps, ship=msg[1]))
                 )
@@ -804,33 +781,21 @@ class WorkerPool:
         #: arrays (object visitors' state objects) cannot be shared.
         self.ship_states: bool = not self.blocks
 
-        #: Zero-pickle barrier transport (INTERNALS §14) when the
-        #: algorithm's payload columns can be framed; object visitors stay
-        #: on the pickled pipes.
-        algo = engine.algorithm
-        self.use_ring: bool = frameable(algo.payload_dtype, *algo.batch_extra_dtypes)
-        self.rings_tx: list[SpscRing] = []  # worker -> parent
-        self.rings_rx: list[SpscRing] = []  # parent -> worker
-        self._links: list[_RingLinks | None] = []
-        self._table_block: SharedArrayBlock | None = None
-        self._table_i: np.ndarray | None = None
-        self._table_f: np.ndarray | None = None
-        if self.use_ring:
-            self._table_block = SharedArrayBlock(
-                [
-                    ("i64", np.zeros((p, _TBL_I64_COLS), dtype=np.int64)),
-                    ("f64", np.zeros((p, 2), dtype=np.float64)),
-                ]
-            )
-            self._table_i = self._table_block.view("i64")
-            self._table_f = self._table_block.view("f64")
+        #: The shared counters table every worker writes its ranks' report
+        #: scalars into (INTERNALS §14).
+        self._table_block = SharedArrayBlock(
+            [
+                ("i64", np.zeros((p, _TBL_I64_COLS), dtype=np.int64)),
+                ("f64", np.zeros((p, 2), dtype=np.float64)),
+            ]
+        )
+        self._table = (self._table_block.view("i64"), self._table_block.view("f64"))
 
         #: Host-side IPC telemetry (see :meth:`ipc_counters`).
+        self.ipc_frames = 0
+        self.ipc_frame_bytes = 0
         self.ipc_bytes_pickled = 0
         self.ipc_tick_bytes_pickled = 0
-        self.ipc_frame_bytes = 0
-        self.ipc_ring_spills = 0
-        self.ipc_pipe_fallbacks = 0
         self.barrier_seconds = 0.0
 
         self._procs = []
@@ -839,20 +804,10 @@ class WorkerPool:
         #: :meth:`recv` / :meth:`kill` / :meth:`respawn`).
         self.alive: list[bool] = []
         for i in range(w):
-            links = None
-            if self.use_ring:
-                tx = SpscRing(RING_BYTES)
-                rx = SpscRing(RING_BYTES)
-                self.rings_tx.append(tx)
-                self.rings_rx.append(rx)
-                links = _RingLinks(
-                    tx=tx, rx=rx, table_i=self._table_i, table_f=self._table_f
-                )
-            self._links.append(links)
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(engine, self.owned[i], child_conn, seed_ranks, links),
+                args=(engine, self.owned[i], child_conn, self._table, seed_ranks),
                 daemon=True,
             )
             proc.start()
@@ -890,16 +845,12 @@ class WorkerPool:
                 exitcode=self._procs[i].exitcode,
             ) from exc
 
-    def send(self, i: int, message: tuple, *, tick: bool = False) -> None:
+    def send(self, i: int, message: tuple) -> None:
         """Send one pickled command to worker ``i`` (protocol 5, columns
         and images as out-of-band buffers); a dead pipe raises a
         structured :class:`~repro.errors.WorkerCrash` instead of leaking
-        ``BrokenPipeError``.  ``tick`` marks barrier tick traffic for the
-        zero-pickle telemetry."""
-        n = self._send_raw(i, lambda conn: _send_obj(conn, message))
-        self.ipc_bytes_pickled += n
-        if tick:
-            self.ipc_tick_bytes_pickled += n
+        ``BrokenPipeError``."""
+        self.ipc_bytes_pickled += self._send_raw(i, lambda conn: _send_obj(conn, message))
 
     def send_tick(
         self,
@@ -908,38 +859,20 @@ class WorkerPool:
         arrivals: dict[int, list[Packet]],
         directive: str | None,
     ) -> None:
-        """Fan tick ``t`` out to worker ``i`` — the zero-pickle fast path
-        when the ring transport is on: arrival packets go into the
-        worker's rx ring as SoA frames (ascending rank, so the worker can
-        key them without an index) and the command itself is one
-        fixed-size token.  Unframeable arrivals or a full ring fall back
-        to the pickled pipe command, which is always correct."""
-        links = self._links[i]
-        if links is not None:
-            frames: list[tuple[int, bytes]] | None = []
-            try:
-                for r in sorted(arrivals):
-                    frames.append(
-                        (_frame_tag(_CH_ARRIVALS, r), encode_packets(arrivals[r]))
-                    )
-            except UnframeablePayload:
-                frames = None
-            if frames is not None:
-                need = sum(SpscRing.frame_cost(len(p)) for _, p in frames)
-                if need > links.rx.free():
-                    frames = None
-            if frames is not None:
-                for tag, payload in frames:
-                    links.rx.write(tag, payload)
-                    self.ipc_frame_bytes += len(payload)
-                token = _TICK_TOKEN.pack(
-                    _TAG_TOKEN, _TOK_TICK, t, len(frames),
-                    _DIRECTIVE_CODES[directive],
-                )
-                self._send_raw(i, lambda conn: conn.send_bytes(token))
-                return
-            self.ipc_ring_spills += 1
-        self.send(i, ("tick", arrivals, directive), tick=True)
+        """Fan tick ``t`` out to worker ``i``: the tick token, then one SoA
+        arrival frame per rank with arrivals (ascending rank, tagged with
+        it)."""
+        frames = [
+            (_frame_tag(_CH_ARRIVALS, r), encode_packets(arrivals[r]))
+            for r in sorted(arrivals)
+        ]
+        token = _TICK_TOKEN.pack(
+            _TAG_TOKEN, _TOK_TICK, t, len(frames), _DIRECTIVE_CODES[directive]
+        )
+        self.ipc_frame_bytes += self._send_raw(
+            i, lambda conn: _send_frames(conn, token, frames)
+        )
+        self.ipc_frames += len(frames)
 
     def _recv_bytes(self, i: int, deadline_s: float | None, start: float):
         """Block until worker ``i``'s pipe has one message and return its
@@ -987,17 +920,17 @@ class WorkerPool:
                     exitcode=proc.exitcode,
                 )
 
-    def recv(self, i: int, deadline_s: float | None = None, *, tick: bool = False):
-        """Receive one reply from worker ``i`` — a pickled envelope, or
-        (ring transport) a fixed-size OK token whose payload is decoded
-        from the worker's tx ring and the shared counters table.
+    def recv(self, i: int, deadline_s: float | None = None):
+        """Receive one reply from worker ``i`` — a pickled envelope, or a
+        tick's OK token, whose payload is decoded from the frames that
+        follow it and the shared counters table.
 
         Raises :class:`~repro.errors.WorkerCrash` classified as:
 
         * ``kind="error"`` — the worker reported an exception (its
-          traceback rides along in ``worker_traceback``), or its ring
-          frames failed integrity validation (torn/stale frames);
-        * ``kind="crash"`` — pipe EOF or process death (``exitcode`` set);
+          traceback rides along in ``worker_traceback``);
+        * ``kind="crash"`` — pipe EOF or process death (``exitcode`` set),
+          also mid-frame;
         * ``kind="hang"`` — no reply within ``deadline_s`` wall-clock
           seconds; the wedged process is force-killed first, so the pipe
           is dead by the time the caller sees the exception.
@@ -1010,36 +943,9 @@ class WorkerPool:
         try:
             data = self._recv_bytes(i, deadline_s, start)
             if data[0] == _TAG_TOKEN:
-                _, op, n_frames, flags = _OK_TOKEN.unpack(data)
-                if op != _TOK_OK:  # pragma: no cover - protocol guard
-                    raise WorkerCrash(
-                        f"{who} sent an unknown token op {op}",
-                        worker=i, ranks=self.owned[i], kind="error",
-                    )
-                residue = None
-                if flags & _OK_RESIDUE:
-                    first = self._recv_bytes(i, deadline_s, start)
-                    obj, n = _recv_obj_tail(self._conns[i], first)
-                    self.ipc_bytes_pickled += n
-                    self.ipc_tick_bytes_pickled += n
-                    residue = obj[1]
-                if residue is not None and "spill" in residue:
-                    # Whole-tick ring spill: the residue is the exact
-                    # pickled-pipe reply.
-                    self.ipc_ring_spills += 1
-                    return residue["spill"]
-                faults = residue.get("faults") if residue is not None else None
-                try:
-                    return self._decode_tick_reply(i, n_frames, faults)
-                except RingIntegrityError as exc:
-                    raise WorkerCrash(
-                        f"{who} shipped a corrupt ring frame: {exc}",
-                        worker=i, ranks=self.owned[i], kind="error",
-                    ) from exc
+                return self._recv_tick_reply(i, data, deadline_s, start)
             msg, n = _recv_obj_tail(self._conns[i], data)
             self.ipc_bytes_pickled += n
-            if tick:
-                self.ipc_tick_bytes_pickled += n
             if msg[0] == "error":
                 raise WorkerCrash(
                     f"{who} raised {msg[1]}\n--- worker traceback ---\n{msg[2]}",
@@ -1050,20 +956,27 @@ class WorkerPool:
         finally:
             self.barrier_seconds += time.monotonic() - start  # repro-lint: disable=RPR002 -- host-side telemetry, simulation-invisible
 
-    def _decode_tick_reply(
-        self, i: int, n_frames: int, faults: dict[int, tuple] | None
+    def _recv_tick_reply(
+        self, i: int, token: bytes, deadline_s: float | None, start: float
     ) -> tuple[dict[int, RankTickReport], list[Packet] | None]:
-        """Rebuild worker ``i``'s barrier reply from its tx-ring frames
-        and the shared counters table — the exact
-        ``(reports, wave_packets)`` tuple the pickled pipe would carry,
-        so the caller's deterministic merge is transport-blind."""
-        links = self._links[i]
+        """Rebuild worker ``i``'s barrier reply from the frames following
+        its OK ``token``, the optional pickled fault residue and the shared
+        counters table — the ``(reports, wave_packets)`` tuple
+        :func:`_worker_tick` returned, so the caller's deterministic merge
+        never sees the wire format."""
+        _, op, n_frames, flags = _OK_TOKEN.unpack_from(token)
+        if op != _TOK_OK:  # pragma: no cover - protocol guard
+            raise WorkerCrash(
+                f"{self._who(i)} sent an unknown token op {op}",
+                worker=i, ranks=self.owned[i], kind="error",
+            )
         packets_a: dict[int, list[Packet]] = {}
         packets_b: dict[int, list[Packet]] = {}
         probes: dict[int, tuple[int, ...]] = {}
         wave: list[Packet] | None = None
-        for _ in range(n_frames):
-            tag, payload = links.tx.read()
+        for tag in _frame_tags(token, _OK_TOKEN, n_frames):
+            payload = bytearray(self._recv_bytes(i, deadline_s, start))
+            self.ipc_frames += 1
             self.ipc_frame_bytes += len(payload)
             ch, r = tag >> 16, tag & 0xFFFF
             if ch == _CH_PACKETS_A:
@@ -1075,13 +988,21 @@ class WorkerPool:
             elif ch == _CH_PROBE:
                 probes[r] = decode_ints(payload)
             else:  # pragma: no cover - protocol guard
-                raise RingIntegrityError(f"unknown frame channel {ch}")
-        if faults is None:
-            faults = {}
+                raise WorkerCrash(
+                    f"{self._who(i)} sent an unknown frame channel {ch}",
+                    worker=i, ranks=self.owned[i], kind="error",
+                )
+        faults: dict[int, tuple] = {}
+        if flags & _OK_RESIDUE:
+            first = self._recv_bytes(i, deadline_s, start)
+            faults, n = _recv_obj_tail(self._conns[i], first)
+            self.ipc_bytes_pickled += n
+            self.ipc_tick_bytes_pickled += n
+        table_i, table_f = self._table
         reports: dict[int, RankTickReport] = {}
         for r in self.owned[i]:
-            row = self._table_i[r].tolist()
-            cache_us, spill_us = self._table_f[r].tolist()
+            row = table_i[r].tolist()
+            cache_us, spill_us = table_f[r].tolist()
             cache_faults, spill_faults = faults.get(r, (None, None))
             fields = dict(zip(_TABLE_INTS, row[_TI_EXTRA:], strict=True))
             for name in _TABLE_BOOLS:
@@ -1103,20 +1024,16 @@ class WorkerPool:
     def ipc_counters(self) -> dict:
         """Host-side barrier IPC telemetry for this run (surfaced as
         :attr:`~repro.core.traversal.TraversalResult.ipc` and by the
-        hotpath bench).  ``tick_bytes_pickled`` is the zero-pickle
-        contract's observable: on the ring transport a steady-state batch
-        tick exchanges no pickled bytes, so it stays 0 unless a tick
-        spilled (``ring_spills``) or supervision replayed one."""
-        frames = sum(r.frames_read for r in self.rings_tx)
-        frames += sum(r.frames_written for r in self.rings_rx)
+        hotpath bench), counted by the pool in both directions.
+        ``tick_bytes_pickled`` is the zero-pickle contract's observable:
+        ticks cross as frames, so it stays 0 unless a storage fault plan
+        sent fault records in a tick's pickled residue."""
         return {
-            "transport": "ring" if self.use_ring else "pipe",
             "workers": self.num_workers,
-            "frames": frames,
+            "frames": self.ipc_frames,
             "frame_bytes": self.ipc_frame_bytes,
             "bytes_pickled": self.ipc_bytes_pickled,
             "tick_bytes_pickled": self.ipc_tick_bytes_pickled,
-            "ring_spills": self.ipc_ring_spills,
             "barrier_seconds": round(self.barrier_seconds, 6),
         }
 
@@ -1143,18 +1060,10 @@ class WorkerPool:
             self._conns[i].close()
         except OSError:  # pragma: no cover - already closed
             pass
-        links = self._links[i]
-        if links is not None:
-            # The dead producer may have left partial frames behind; wipe
-            # both directions so the replacement (forked below, inheriting
-            # the same arenas) starts against clean rings with a fresh
-            # sequence space.  Safe: no producer is live on either ring.
-            links.tx.reset()
-            links.rx.reset()
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._engine, self.owned[i], child_conn, False, links),
+            args=(self._engine, self.owned[i], child_conn, self._table, False),
             daemon=True,
         )
         proc.start()
@@ -1326,15 +1235,16 @@ class WorkerSupervisor:
             crash = send_failures.get(i)
             if crash is None:
                 try:
-                    outs.append(pool.recv(i, deadline, tick=True))
+                    outs.append(pool.recv(i, deadline))
                     continue
                 except WorkerCrash as exc:
                     crash = exc
-            # The retried command drops the directive: an injected fault
-            # fires once.
+            # The resent tick drops the directive: an injected fault fires
+            # once.
             outs.append(self._handle_failure(
-                i, crash, ("tick", owned_arrivals(pool.owned[i]), None), deadline,
-                lambda i=i: local(pool.owned[i]),
+                i, crash,
+                lambda i=i: pool.send_tick(i, t, owned_arrivals(pool.owned[i]), None),
+                deadline, lambda i=i: local(pool.owned[i]),
             ))
         reports: dict[int, RankTickReport] = {}
         wave: list[Packet] = []
@@ -1361,7 +1271,7 @@ class WorkerSupervisor:
                 out = pool.recv(i, self.timeout)
             except WorkerCrash as crash:
                 out = self._handle_failure(
-                    i, crash, msg, self.timeout,
+                    i, crash, lambda i=i: pool.send(i, msg), self.timeout,
                     lambda i=i: local_fn(pool.owned[i]),
                 )
             outs.append(out)
@@ -1424,7 +1334,9 @@ class WorkerSupervisor:
             self.pool.send(i, msg)
             return self.pool.recv(i, deadline)
         except WorkerCrash as crash:
-            return self._handle_failure(i, crash, msg, deadline, local)
+            return self._handle_failure(
+                i, crash, lambda: self.pool.send(i, msg), deadline, local
+            )
 
     def finalize(self) -> tuple[dict, dict, int | None]:
         """Gather final counters (and unshared states) from all live
@@ -1462,10 +1374,12 @@ class WorkerSupervisor:
     # -------------------------------------------------------------- #
     # Recovery ladder
     # -------------------------------------------------------------- #
-    def _handle_failure(self, i, crash, retry_msg, deadline, parent_fn):
+    def _handle_failure(self, i, crash, resend, deadline, parent_fn):
         """Generic per-command recovery driver: respawn-and-replay under
-        the retry budget, then graceful degradation.  Returns the failed
-        command's reply, produced by a replacement worker or the parent."""
+        the retry budget, then graceful degradation.  ``resend()`` sends
+        the failed command again to the replacement worker.  Returns the
+        failed command's reply, produced by a replacement worker or the
+        parent."""
         self._note(crash)
         if not self.active or not self._images:
             raise crash
@@ -1484,7 +1398,7 @@ class WorkerSupervisor:
             try:
                 pool.recv(i, self.timeout)  # bare ready
                 self._restore_worker(i)
-                pool.send(i, retry_msg)
+                resend()
                 out = pool.recv(i, deadline)
             except WorkerCrash as again:
                 self._note(again)

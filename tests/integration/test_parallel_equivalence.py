@@ -209,50 +209,34 @@ def test_workers_clamped_to_partitions(graph):
 
 
 # --------------------------------------------------------------------- #
-# IPC transport cells (INTERNALS §14)
+# IPC cells: barrier frames on the worker pipe (INTERNALS §14)
 # --------------------------------------------------------------------- #
 
-def test_ring_steady_state_pickles_nothing(graph):
-    """The zero-pickle contract: a clean batch-mode ring run moves every
-    per-tick byte through frames — ``tick_bytes_pickled`` is exactly 0."""
+def test_batch_ticks_pickle_nothing(graph):
+    """The zero-pickle contract: a clean batch run moves every per-tick
+    byte through frames — ``tick_bytes_pickled`` is exactly 0."""
     r = bfs(graph, 0, batch=True, workers=WORKERS)
-    assert r.ipc["transport"] == "ring"
     assert r.ipc["frames"] > 0
     assert r.ipc["frame_bytes"] > 0
-    assert r.ipc["ring_spills"] == 0
     assert r.ipc["tick_bytes_pickled"] == 0
     # Control-plane traffic (start/checkpoint/finalize) still pickles.
     assert r.ipc["bytes_pickled"] > 0
 
 
-def test_object_path_stays_on_pipe(graph):
-    """The ring fast path is batch-mode only; object-mode runs keep the
-    pickled pipe."""
-    r = bfs(graph, 0, batch=False, workers=WORKERS)
-    assert r.ipc["transport"] == "pipe"
-    assert r.ipc["frames"] == 0
+def test_object_visitors_cross_as_frames(graph):
+    """Object visitors' payload columns take the codec's pickled-payload
+    kind inside the frames: no tick is pickled as a command, and the run
+    is bit-identical to the sequential one."""
+    r = bfs(graph, 0, batch=False, workers=2)
+    assert r.ipc["frames"] > 0
+    assert r.ipc["tick_bytes_pickled"] == 0
     assert_bit_identical("bfs", bfs(graph, 0, batch=False), r)
 
 
-def test_tiny_ring_overflow_spills_to_pipe(graph, monkeypatch):
-    """Frames that do not fit fall back to the pickled pipe per tick;
-    a deliberately tiny arena forces spills and the run must still be
-    bit-identical (the spill reply is the exact pickled-pipe payload)."""
-    import repro.runtime.parallel as parallel
-
-    monkeypatch.setattr(parallel, "RING_BYTES", 1 << 9)
-    seq = bfs(graph, 0, batch=True)
-    par = bfs(graph, 0, batch=True, workers=WORKERS)
-    assert par.ipc["transport"] == "ring"
-    assert par.ipc["ring_spills"] > 0
-    assert par.ipc["tick_bytes_pickled"] > 0  # the spilled ticks
-    assert_bit_identical("bfs", seq, par)
-
-
-def test_respawned_worker_reattaches_ring(graph):
-    """A SIGKILLed worker's replacement forks against reset arenas and
-    serves the rest of the run over frames, bit-identically (modulo the
-    supervisor's own activity counters)."""
+def test_respawned_worker_keeps_serving_frames(graph):
+    """A SIGKILLed worker's replacement gets the failed tick resent as
+    frames and serves the rest of the run over them, bit-identically
+    (modulo the supervisor's own activity counters)."""
     from repro.comm.faults import WorkerFaultPlan
     from repro.runtime.trace import SUPERVISION_STATS_FIELDS
 
@@ -263,8 +247,9 @@ def test_respawned_worker_reattaches_ring(graph):
               worker_faults=WorkerFaultPlan.from_spec("seed=3,kill=5:1"),
               **kw)
     assert par.stats.worker_respawns >= 1  # the kill actually engaged
-    assert par.ipc["transport"] == "ring"
+    assert par.stats.degraded_ranks == 0
     assert par.ipc["frames"] > 0
+    assert par.ipc["tick_bytes_pickled"] == 0
     for a, b in zip(DATA["bfs"](seq), DATA["bfs"](par), strict=False):
         assert np.array_equal(a, b)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import BFSAlgorithm, bfs
+from repro.algorithms.kcore import KCoreAlgorithm
 from repro.core.traversal import run_traversal
-from repro.errors import TraversalError
+from repro.errors import ConfigurationError, TraversalError
 from repro.generators.rmat import rmat_edges
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
@@ -18,6 +19,50 @@ def graph_and_edges():
     src, dst = rmat_edges(8, 16 << 8, seed=21)
     edges = EdgeList.from_arrays(src, dst, 1 << 8).permuted(seed=22).simple_undirected()
     return DistributedGraph.build(edges, 8, num_ghosts=8), edges
+
+
+class TestConstructionRefusals:
+    def test_ghosts_on_a_counting_algorithm_refused(self, graph_and_edges):
+        """Native counting state blocks have no pre-visit filter for the
+        ghost table to call."""
+        g, _ = graph_and_edges
+
+        class GhostKCore(KCoreAlgorithm):
+            uses_ghosts = True
+
+        with pytest.raises(ConfigurationError, match="previsit"):
+            run_traversal(g, GhostKCore(3))
+
+    @pytest.mark.parametrize("hook", ["initial_visitors", "make_state", "finalize"])
+    def test_object_hook_override_without_batch_twin_refused(
+        self, graph_and_edges, hook
+    ):
+        """Overriding an object hook of a built-in without its batch twin
+        would run the parent's native hooks and ignore the override."""
+        g, edges = graph_and_edges
+        s = int(edges.src[0])
+        parent = getattr(BFSAlgorithm, hook)
+        NoSeeds = type("NoSeeds", (BFSAlgorithm,), {
+            hook: lambda self, *a, **kw: parent(self, *a, **kw)
+        })
+        with pytest.raises(ConfigurationError, match="supports_batch = False"):
+            run_traversal(g, NoSeeds(s))
+        # The object path honours the override.
+        assert run_traversal(g, NoSeeds(s), batch=False).stats.total_visits > 0
+
+    def test_object_hook_override_with_supports_batch_false_runs(
+        self, graph_and_edges
+    ):
+        g, edges = graph_and_edges
+
+        class NoSeeds(BFSAlgorithm):
+            supports_batch = False
+
+            def initial_visitors(self, graph, rank):
+                return []
+
+        result = run_traversal(g, NoSeeds(int(edges.src[0])))
+        assert result.stats.total_visits == 0
 
 
 class TestDeterminism:

@@ -1,17 +1,15 @@
 """Unit tests for the SoA packet-frame codec: exact round-trips of batch
 and control payloads (dtypes, seq/ack stamps, per-message sizes, value
-types), the unframeable ladder that triggers the pipe fallback, and the
+types), of the pickled-payload kind that carries everything else, and the
 writable-view contract decoded batches must honor."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.comm.message import Envelope, Packet
 from repro.core.batch import VisitorBatch
 from repro.runtime.packet_codec import (
-    UnframeablePayload,
     decode_ints,
     decode_packets,
     encode_ints,
@@ -30,7 +28,7 @@ def _batch(n: int, *, parents: bool = False, extras: int = 0, seed: int = 0):
 
 
 def _round_trip(packets):
-    # bytearray: the ring hands the decoder a writable buffer.
+    # bytearray: the pool hands the decoder a writable buffer.
     return decode_packets(bytearray(encode_packets(packets)))
 
 
@@ -58,9 +56,11 @@ def assert_packets_equal(a, b):
                         assert np.array_equal(ca, cb)
             else:
                 assert ea.payload == eb.payload
-                # bool vs int distinction must survive the int64 column.
-                for va, vb in zip(ea.payload, eb.payload, strict=True):
-                    assert type(va) is type(vb)
+                assert type(ea.payload) is type(eb.payload)
+                if isinstance(ea.payload, tuple):
+                    # bool vs int must survive the int64 column.
+                    for va, vb in zip(ea.payload, eb.payload, strict=True):
+                        assert type(va) is type(vb)
         assert pa.wire_bytes == pb.wire_bytes
 
 
@@ -188,50 +188,77 @@ def test_decoded_columns_are_mutable_views():
     assert col[0] == 12345
 
 
-def test_object_payload_unframeable():
-    class NotAColumn:
-        pass
+class Opaque:
+    """An envelope payload of no type the SoA schema knows."""
 
-    pkt = Packet(src=0, hop_dest=1, envelopes=[
-        Envelope(dest=1, kind=0, payload=NotAColumn(), size_bytes=8, count=1)])
-    with pytest.raises(UnframeablePayload):
-        encode_packets([pkt])
+    def __init__(self, value):
+        self.value = value
 
-
-def test_unregistered_control_string_unframeable():
-    pkt = Packet(src=0, hop_dest=1, envelopes=[
-        Envelope(dest=1, kind=1, payload=("gossip", 3), size_bytes=8, count=1)])
-    with pytest.raises(UnframeablePayload):
-        encode_packets([pkt])
+    def __eq__(self, other):
+        return isinstance(other, Opaque) and other.value == self.value
 
 
-def test_non_scalar_control_value_unframeable():
-    pkt = Packet(src=0, hop_dest=1, envelopes=[
-        Envelope(dest=1, kind=1, payload=(3.5,), size_bytes=8, count=1)])
-    with pytest.raises(UnframeablePayload):
-        encode_packets([pkt])
+def _pickled_round_trip(envelopes):
+    """Round-trip one packet whose envelopes include pickled-kind
+    payloads; batch columns must come back mutable."""
+    pkt = Packet(src=0, hop_dest=1, envelopes=envelopes, seq=3, ack=1)
+    (out,) = _round_trip([pkt])
+    assert_packets_equal([pkt], [out])
+    for env in out.envelopes:
+        if isinstance(env.payload, VisitorBatch):
+            for col in (env.payload.vertices, env.payload.payloads):
+                col[0] = col[1]  # raises on a readonly view
+    return out
 
 
-def test_heterogeneous_batch_schemas_unframeable():
-    """One frame carries one column schema; mixing payload dtypes within
-    a tick means something unusual is in flight — spill, don't guess."""
-    pkt = Packet(src=0, hop_dest=1, envelopes=[
+def test_object_payload_round_trips_pickled():
+    out = _pickled_round_trip([
+        Envelope(dest=1, kind=0, payload=Opaque(7), size_bytes=8, count=1),
+        Envelope(dest=1, kind=2, payload=_batch(3), size_bytes=8, count=3),
+    ])
+    assert out.envelopes[0].payload == Opaque(7)
+
+
+def test_object_dtype_batch_round_trips_pickled():
+    payloads = np.empty(3, dtype=object)
+    payloads[:] = [Opaque(1), Opaque(2), (3, "x")]
+    batch = VisitorBatch(np.arange(3, dtype=np.int64), payloads)
+    out = _pickled_round_trip([
+        Envelope(dest=1, kind=2, payload=batch, size_bytes=8, count=3)])
+    assert out.envelopes[0].payload.payloads.dtype == object
+
+
+def test_unregistered_control_string_round_trips_pickled():
+    _pickled_round_trip([
+        Envelope(dest=1, kind=1, payload=("gossip", 3), size_bytes=8, count=1),
+        Envelope(dest=1, kind=1, payload=("probe", 3), size_bytes=8, count=1),
+    ])
+
+
+def test_non_scalar_control_value_round_trips_pickled():
+    _pickled_round_trip([
+        Envelope(dest=1, kind=1, payload=(3.5,), size_bytes=8, count=1),
+        Envelope(dest=1, kind=1, payload=(1 << 70, True), size_bytes=8, count=1),
+    ])
+
+
+def test_heterogeneous_batch_schemas_round_trip_pickled():
+    """One frame carries one column schema (the first batch's); a batch
+    with another schema crosses pickled, in its envelope's place."""
+    _pickled_round_trip([
         Envelope(dest=1, kind=2, payload=_batch(3), size_bytes=8, count=3),
         Envelope(dest=2, kind=2, payload=VisitorBatch(
             np.arange(3, dtype=np.int32), np.arange(3, dtype=np.int64)),
             size_bytes=8, count=3),
+        Envelope(dest=3, kind=2, payload=_batch(4, seed=5), size_bytes=8, count=4),
     ])
-    with pytest.raises(UnframeablePayload):
-        encode_packets([pkt])
 
 
-def test_unsupported_dtype_unframeable():
+def test_unsupported_dtype_round_trips_pickled():
     batch = VisitorBatch(
         np.arange(3, dtype=np.complex128), np.arange(3, dtype=np.int64))
-    pkt = Packet(src=0, hop_dest=1, envelopes=[
+    _pickled_round_trip([
         Envelope(dest=1, kind=2, payload=batch, size_bytes=8, count=3)])
-    with pytest.raises(UnframeablePayload):
-        encode_packets([pkt])
 
 
 def test_encode_ints_round_trip():
