@@ -16,8 +16,8 @@ bounded-mailbox ledger's no-pressure overhead (a cap high enough that
 backpressure never engages, measuring pure flow-control bookkeeping cost),
 both measured on the BFS workload.  The parallel section also reports the
 supervised mode's no-fault tax (``worker_restarts>0`` with no fault plan:
-barrier deadlines + per-epoch restore-image shipping, INTERNALS §12) as
-``supervised_overhead`` vs the plain parallel run.
+barrier deadlines + the rollback epochs captured every 16 ticks,
+INTERNALS §12) as ``supervised_overhead`` vs the plain parallel run.
 
 Usage::
 
@@ -28,8 +28,10 @@ Usage::
 
 Every timing is the min over ``--repeats`` runs (one uniform knob for all
 algorithms and all three paths; the repeat count used is recorded in each
-entry).  The JSON written next to the repo root (``BENCH_hotpath.json``)
-records one record per algorithm; ``--check`` fails (exit 1) when any
+entry).  The gated object and batch timings alternate run by run, so host
+load drifting during a run skews both sides of their ratio alike.  The
+JSON written next to the repo root (``BENCH_hotpath.json``) records one
+record per algorithm; ``--check`` fails (exit 1) when any
 algorithm's current object-vs-batch speedup falls more than 25% below its
 baseline, a machine-independent regression gate (both paths run on the
 same host, so their *ratio* transfers between machines in a way absolute
@@ -137,15 +139,19 @@ def _stats_key(stats):
     )
 
 
-def _best_of(repeats: int, thunk):
-    """Min-of-N wall clock; returns (best_seconds, last_result)."""
-    best = float("inf")
-    res = None
+def _best_of(repeats: int, *thunks):
+    """Min-of-N wall clock of each thunk, their repeats interleaved (one
+    run of each per round), so a burst of host load lands on both sides
+    of a ratio instead of on one.  Returns one ``(best_seconds,
+    last_result)`` pair per thunk."""
+    best = [float("inf")] * len(thunks)
+    res = [None] * len(thunks)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        res = thunk()
-        best = min(best, time.perf_counter() - t0)
-    return best, res
+        for i, thunk in enumerate(thunks):
+            t0 = time.perf_counter()
+            res[i] = thunk()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(best, res, strict=True))
 
 
 def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
@@ -161,8 +167,12 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
     machine = laptop()
     run = spec["run"]
 
-    obj_s, obj = _best_of(repeats, lambda: run(graph, source, machine, False))
-    bat_s, bat = _best_of(repeats, lambda: run(graph, source, machine, True))
+    # The gated ratio: object and batch repeats alternate.
+    (obj_s, obj), (bat_s, bat) = _best_of(
+        repeats,
+        lambda: run(graph, source, machine, False),
+        lambda: run(graph, source, machine, True),
+    )
 
     stats_equal = _stats_key(obj.stats) == _stats_key(bat.stats)
     data_equal = all(
@@ -185,7 +195,7 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
         "simulated_time_us": obj.stats.time_us,
     }
     if workers > 1:
-        par_s, par = _best_of(
+        [(par_s, par)] = _best_of(
             repeats, lambda: run(graph, source, machine, True, workers=workers)
         )
         entry["workers"] = workers
@@ -215,11 +225,11 @@ def run_algorithm(name: str, spec: dict, *, repeats: int, workers: int,
                 for a, b in zip(spec["arrays"](bat), spec["arrays"](par), strict=False)
             )
         )
-        # Supervised mode with no faults injected: what the self-healing
-        # machinery (barrier deadlines, per-epoch restore-image shipping)
-        # costs when nothing ever fails.  Report-only, like the other
+        # Supervised mode with no faults injected: what the supervision
+        # machinery (barrier deadlines, rollback epochs) costs when
+        # nothing ever fails.  Report-only, like the other
         # parallel columns, but divergence still fails the run.
-        sup_s, sup = _best_of(
+        [(sup_s, sup)] = _best_of(
             repeats, lambda: run(graph, source, machine, True,
                                  workers=workers, worker_restarts=1)
         )
@@ -255,7 +265,7 @@ def run_overheads(spec: dict, *, repeats: int, seed: int = 2024) -> dict:
         ("reliable", {"reliable": True}),
         ("pressure", {"mailbox_cap": 1 << 30}),
     ):
-        timings[label], runs[label] = _best_of(
+        [(timings[label], runs[label])] = _best_of(
             repeats, lambda kwargs=kwargs: bfs(graph, source, machine=machine, **kwargs)
         )
     obj, rel, cap = runs["object"], runs["reliable"], runs["pressure"]

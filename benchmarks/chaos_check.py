@@ -11,12 +11,12 @@ This is the executable form of the INTERNALS §8 invariant: faults may
 change simulated time and wire traffic, never results or logical counts.
 
 ``--worker-chaos`` switches the gate to *host*-level failures: SIGKILLed,
-hung, and mid-phase-exiting worker processes under the self-healing pool
-(INTERNALS §12), plus restart-budget-exhausted degradation.  Every
-supervised ``workers=4`` run must match the unfailed sequential run on
-results and every stats field outside ``SUPERVISION_STATS_FIELDS``, and
-every cell must actually have failed (crash/respawn/degrade counters
-non-zero — a dead gate fails too).
+hung, and mid-phase-exiting worker processes under the supervised pool
+(INTERNALS §12), each rolled back to the last epoch, plus
+restart-budget-exhausted degradation.  Every supervised ``workers=4`` run
+must match the unfailed sequential run on results and every stats field
+outside ``SUPERVISION_STATS_FIELDS``, and every cell must actually have
+failed (crash/re-fork/degrade counters non-zero — a dead gate fails too).
 
 Usage::
 
@@ -165,15 +165,17 @@ def worker_chaos(args) -> int:
                 problems.append(f"{label}: {engaged} == 0 (cell not engaged)")
             print(f"  {label}: {sup.stats.worker_crashes} failures "
                   f"({sup.stats.worker_hangs} hung), "
-                  f"{sup.stats.worker_respawns} respawns, "
-                  f"{sup.stats.worker_replayed_ticks} ticks replayed, "
+                  f"{sup.stats.worker_respawns} pool re-forks, "
+                  f"{sup.stats.worker_replayed_ticks} ticks re-executed "
+                  f"after rollback, "
                   f"{sup.stats.degraded_ranks} ranks degraded")
 
     if problems:
         for p in problems:
             print(f"FAIL: {p}", file=sys.stderr)
         return 1
-    print(f"OK: {cells} supervised chaos runs bit-identical to baselines")
+    print(f"OK: {cells} supervised chaos runs rolled back to their last "
+          f"epoch and stayed bit-identical to baselines")
     return 0
 
 

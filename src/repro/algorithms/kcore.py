@@ -47,46 +47,30 @@ class KCoreState:
         self.kcore = kcore
 
 
-#: One generated visitor class per ``k`` (class identity matters: ``k`` is
-#: a class-static, and the class must be importable by name so visitor
-#: envelopes can cross the parallel executor's worker pipes).
-_KCORE_VISITOR_CLASSES: dict[int, type] = {}
+class KCoreVisitor(Visitor):
+    """Alg. 5's removal notification.  The paper's class-static
+    ``kcore_visitor::k`` rides in a slot, so one module-level class serves
+    every ``k`` and its instances pickle by name across worker pipes."""
 
+    __slots__ = ("k",)
 
-def make_kcore_visitor(k: int):
-    """Create (or reuse) a visitor class with ``k`` as its static parameter
-    (Alg. 5 line 4: ``kcore_visitor::k <- k``).  The class is registered
-    under a per-``k`` module-level name, which makes instances picklable —
-    the parallel executor's workers fork after the algorithm is built, so
-    the name resolves on their side too."""
-    cached = _KCORE_VISITOR_CLASSES.get(k)
-    if cached is not None:
-        return cached
+    def __init__(self, vertex: int, k: int) -> None:
+        super().__init__(vertex)
+        self.k = k
 
-    class KCoreVisitor(Visitor):
-        __slots__ = ()
-        _k = k
+    def pre_visit(self, vertex_data: KCoreState) -> bool:
+        if vertex_data.alive:
+            vertex_data.kcore -= 1
+            if vertex_data.kcore < self.k:
+                vertex_data.alive = False
+                return True
+        return False
 
-        def pre_visit(self, vertex_data: KCoreState) -> bool:
-            if vertex_data.alive:
-                vertex_data.kcore -= 1
-                if vertex_data.kcore < self._k:
-                    vertex_data.alive = False
-                    return True
-            return False
-
-        def visit(self, ctx) -> None:
-            v = self.vertex
-            push = ctx.push
-            cls = type(self)
-            for w in ctx.out_edges(v):
-                push(cls(int(w)))
-
-    KCoreVisitor.__name__ = f"KCoreVisitor_k{k}"
-    KCoreVisitor.__qualname__ = KCoreVisitor.__name__
-    globals()[KCoreVisitor.__name__] = KCoreVisitor
-    _KCORE_VISITOR_CLASSES[k] = KCoreVisitor
-    return KCoreVisitor
+    def visit(self, ctx) -> None:
+        push = ctx.push
+        k = self.k
+        for w in ctx.out_edges(self.vertex):
+            push(KCoreVisitor(int(w), k))
 
 
 class KCoreStateArrays:
@@ -195,7 +179,6 @@ class KCoreAlgorithm(AsyncAlgorithm):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self._visitor_cls = make_kcore_visitor(k)
 
     def make_state(self, vertex: int, degree: int, role: str) -> KCoreState:
         if role == ROLE_MASTER:
@@ -204,9 +187,8 @@ class KCoreAlgorithm(AsyncAlgorithm):
         return KCoreState(self.k)
 
     def initial_visitors(self, graph: DistributedGraph, rank: int):
-        cls = self._visitor_cls
         for v in graph.masters_on(rank):
-            yield cls(int(v))
+            yield KCoreVisitor(int(v), self.k)
 
     def finalize(self, graph: DistributedGraph, states_per_rank: list[list]) -> KCoreResult:
         alive = np.zeros(graph.num_vertices, dtype=bool)

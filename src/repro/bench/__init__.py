@@ -3,9 +3,7 @@
 One driver function per paper figure/table lives in
 :mod:`repro.bench.experiments`; the pytest-benchmark wrappers under
 ``benchmarks/`` call these with reproduction-scale parameters and assert
-the paper's qualitative claims.  :mod:`repro.bench.paper_reference` records
-the paper's reported numbers so every report prints paper-vs-measured side
-by side.
+the paper's qualitative claims.
 """
 
 from repro.bench.harness import (

@@ -113,9 +113,9 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
              "--workers > 1; results stay bit-identical)")
     parser.add_argument(
         "--worker-restarts", type=int, default=None, metavar="N",
-        help="per-worker respawn budget when a worker process fails "
-             "(default 0 = fail fast; exhaustion degrades the orphaned "
-             "ranks to in-process execution)")
+        help="per-worker re-fork budget when a worker process fails "
+             "(default 0 = fail fast; exhaustion continues the run "
+             "in-process)")
     parser.add_argument(
         "--worker-barrier-timeout", type=float, default=None, metavar="SEC",
         help="wall-clock seconds a barrier waits before declaring a "

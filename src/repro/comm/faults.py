@@ -198,13 +198,13 @@ class WorkerFaultPlan:
 
     Unlike :class:`FaultPlan` this perturbs the *host* processes running
     the simulation, not the simulated fabric: the supervisor injects each
-    event into the worker owning the event's rank, detects the failure at
-    the barrier, and recovers via respawn-and-replay (or degrades to
-    parent-side execution when the restart budget runs out).  ``seed``
-    drives only the host-side retry backoff jitter; results stay
+    event once into the worker owning the event's rank, detects the
+    failure at the barrier, and rolls the run back to its last epoch on
+    a re-forked pool (or in-process when the restart budget runs out).
+    ``seed`` drives only the host-side retry backoff jitter; results stay
     bit-identical to the unfailed run by construction.  ``fork_failures``
-    makes the first N respawn attempts fail at fork time, exercising the
-    degradation path.
+    makes the first N re-fork attempts fail, exercising the degradation
+    path.
     """
 
     seed: int = 0
@@ -240,7 +240,7 @@ class WorkerFaultPlan:
 
         ``kill`` / ``hang`` / ``exita`` take ``tick:rank`` and may be
         repeated by joining events with ``+`` (``kill=4:1+9:3``);
-        ``forkfail=N`` fails the first N respawn forks.
+        ``forkfail=N`` fails the first N re-forks.
         """
         kwargs: dict = {}
         events: list[WorkerFaultEvent] = []

@@ -59,8 +59,8 @@ class ScalarHeapImage(list):
     Every heap entry is a fresh tuple of Python scalars (``tolist()``
     output), so the entries share nothing and hold no cycles, and the
     pickler's memo — a table entry per tuple — is pure overhead: it made up
-    over half the cost of pickling a large heap into a durable epoch or a
-    worker supervision image.  The image pickles its entries in fast mode
+    over half the cost of pickling a large heap into a durable or a
+    supervision epoch.  The image pickles its entries in fast mode
     into one bytes blob.
     """
 
@@ -441,10 +441,10 @@ class BatchVisitorQueueRank:
 
     @property
     def spill_ledger(self) -> int:
-        """The spill ledger, exposed for worker-supervision images: a
-        respawned worker adopts the failed one's ledger alongside the
-        pager snapshot, so the pair stays reconciled (the ledger is
-        deliberately outside :meth:`snapshot_state` — see its note)."""
+        """The spill ledger, exposed for full-scope rank images: a restored
+        rank adopts the ledger alongside the pager snapshot, so the pair
+        stays reconciled (the ledger is deliberately outside
+        :meth:`snapshot_state` — see its note)."""
         return self._spilled_visitors
 
     @spill_ledger.setter

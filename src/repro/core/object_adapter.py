@@ -137,7 +137,7 @@ class VisitContext:
 class VisitorHeapImage(list):
     """A snapshot of an object-visitor heap that pickles column by column.
 
-    Durable epochs and worker supervision images pickle the whole heap,
+    Durable and supervision epochs pickle the whole heap,
     and the default pickling of a slotted visitor (a state dict per
     object, ``setattr`` per slot on load) costs several microseconds per
     queued visitor.  A heap of one visitor class with a fixed

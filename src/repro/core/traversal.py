@@ -198,14 +198,14 @@ def run_traversal(
         Override :attr:`EngineConfig.worker_faults` — a
         :class:`~repro.comm.faults.WorkerFaultPlan` injecting *host*
         worker-process failures (SIGKILL, hangs, mid-phase exits, fork
-        failures) for the supervision layer to heal.  Requires
+        failures) for the supervision layer to roll back from.  Requires
         ``workers > 1``; results and all logical stats stay bit-identical
         to the unfailed run (only the ``SUPERVISION_STATS_FIELDS``
         differ).
     worker_restarts:
         Override :attr:`EngineConfig.worker_restarts` — per-worker
-        respawn budget; 0 with a fault plan degrades straight to
-        parent-side execution.
+        re-fork budget; 0 with a fault plan continues in-process on the
+        first failure.
     worker_barrier_timeout:
         Override :attr:`EngineConfig.worker_barrier_timeout` — wall-clock
         seconds a barrier waits before declaring a worker hung.

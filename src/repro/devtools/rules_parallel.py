@@ -11,9 +11,8 @@ contract:
     pickle stream, so every class whose instances ride either channel
     must be importable by name on the far side.  A visitor class defined
     in function scope is the exact bug class the parallel executor hit
-    with the per-``k`` k-core visitors; the sanctioned escape hatch is
-    the k-core pattern itself — register the class under a module-level
-    name (``globals()[cls.__name__] = cls``) inside the factory.
+    with the per-``k`` k-core visitors, since replaced by one module-level
+    class that carries ``k`` in a slot.
     Lambdas/generator expressions stored on pickle-reachable classes are
     flagged for the same reason.
 
@@ -190,14 +189,11 @@ class PickleSafety(ProjectRule):
             pipe_bound = bool(called & PIPE_SINKS)
         if not pipe_bound:
             return
-        if self._registers_module_level(fn):
-            return
         yield Violation(
             info.path, info.node.lineno, info.node.col_offset + 1, self.code,
             f"class {info.name} is defined in local scope inside "
             f"{fn.name}() but its instances cross a worker pipe / pickle "
-            f"stream; define it at module level or register it like the "
-            f"k-core factory (globals()[cls.__name__] = cls)")
+            f"stream; define it at module level")
 
     @staticmethod
     def _function_key(index: ProjectIndex, info: ClassInfo,
@@ -206,22 +202,6 @@ class PickleSafety(ProjectRule):
             if node is fn:
                 return key
         return f"{info.module}.{fn.name}"
-
-    @staticmethod
-    def _registers_module_level(fn: ast.FunctionDef) -> bool:
-        """The k-core escape hatch: ``globals()[...] = cls`` in the
-        factory re-homes the class under an importable module-level
-        name, which is exactly what pickle-by-reference needs."""
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Assign):
-                continue
-            for t in node.targets:
-                if (isinstance(t, ast.Subscript)
-                        and isinstance(t.value, ast.Call)
-                        and isinstance(t.value.func, ast.Name)
-                        and t.value.func.id == "globals"):
-                    return True
-        return False
 
     # -- unpicklable attrs on pickle-reachable classes ------------------ #
     def _check_unpicklable_attrs(
@@ -600,8 +580,8 @@ class ForkSafety(ProjectRule):
                             self.code,
                             f"class {info.name}: 'self.{attr}' persists a "
                             f"{kind} across ticks; it crosses the fork "
-                            f"boundary un-reopened and breaks worker "
-                            f"respawn-and-replay{extra}"))
+                            f"boundary un-reopened and breaks re-forked "
+                            f"worker pools{extra}"))
         return out
 
     @staticmethod

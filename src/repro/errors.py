@@ -52,10 +52,10 @@ class WorkerCrash(ReproError):
 
     Raised parent-side by the worker pool when a worker's pipe reports an
     exception, hits EOF, the process dies, or a barrier deadline expires.
-    Carries enough structure for the supervisor to decide between
-    respawn-and-replay and graceful degradation, and for the final
-    :class:`TraversalError` (fail-fast mode) to show the worker-side
-    traceback instead of discarding it.
+    Carries enough structure for the supervisor to charge the failing
+    worker's restart budget (re-fork or graceful degradation), and for
+    the final :class:`TraversalError` (fail-fast mode) to show the
+    worker-side traceback instead of discarding it.
 
     ``kind`` is one of ``"error"`` (the worker caught an exception and
     reported it before exiting), ``"crash"`` (the process died or its

@@ -165,8 +165,8 @@ class PageCache:
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Full cache state for full-scope rank images (supervision images
-        and durable sections): the LRU order (oldest first) plus every
+        """Full cache state for full-scope rank images (supervision and
+        durable epochs): the LRU order (oldest first) plus every
         counter, so a restored cache resumes with bit-identical
         hit/miss/eviction evolution.  Taken at tick barriers, where the
         epoch counters are freshly drained."""

@@ -84,8 +84,8 @@ class SpillPager:
 
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """Full pager state for full-scope rank images (supervision images
-        and durable sections): log cursors, byte totals and the read-back
+        """Full pager state for full-scope rank images (supervision and
+        durable epochs): log cursors, byte totals and the read-back
         cache, so a restored pager's spill charges evolve bit-identically.
         Taken at tick barriers, where the epoch write accumulator is
         freshly drained."""

@@ -171,15 +171,14 @@ class EngineConfig:
     #: Dedicated spill-pager cache capacity, pages (per rank).
     spill_cache_pages: int = 16
     # --- worker-supervision knobs (INTERNALS §12) ---------------------- #
-    #: Respawn budget of the parallel executor's supervision layer: total
-    #: worker-restart attempts allowed per run.  0 (default) keeps PR 6's
-    #: fail-fast behaviour — any worker failure aborts the run with a
-    #: ``TraversalError`` — unless a ``worker_faults`` plan is set, in
-    #: which case failures degrade immediately to parent-side execution.
-    #: N > 0 turns supervision on: failed workers are respawned, restored
-    #: from the latest supervision epoch images and replayed back to the
-    #: barrier; when the budget runs out the parent absorbs the orphaned
-    #: ranks and the run completes at reduced parallelism.
+    #: Re-fork budget of the parallel executor's supervision layer, per
+    #: failing worker.  0 (default) keeps the fail-fast behaviour — any
+    #: worker failure aborts the run with a ``TraversalError`` — unless a
+    #: ``worker_faults`` plan is set, in which case a failure rolls back
+    #: and continues in-process at once.  N > 0 turns supervision on: a
+    #: worker failure rolls the run back to its last epoch and a fresh
+    #: pool re-executes from there; when the failing worker's budget runs
+    #: out the run continues on the in-process executor.
     worker_restarts: int = 0
     #: Barrier deadline in host seconds: a worker that stays silent past
     #: this (scaled by the tick's arrival volume) is classified as hung
@@ -309,10 +308,11 @@ class EngineConfig:
 
     @property
     def supervision_active(self) -> bool:
-        """Whether the parallel executor runs with self-healing on: a
-        restart budget, or an injection plan to survive (a plan with
-        ``worker_restarts=0`` degrades on the first failure instead of
-        respawning — the budget-exhausted path, just immediately)."""
+        """Whether a worker failure rolls the run back to its last epoch
+        (INTERNALS §12): a restart budget, or an injection plan to survive
+        (a plan with ``worker_restarts=0`` continues in-process on the
+        first failure instead of re-forking — the budget-exhausted path,
+        just immediately)."""
         return self.worker_restarts > 0 or self.worker_faults is not None
 
     @property

@@ -1,7 +1,7 @@
 """Durable on-disk checkpoint/resume with host-crash recovery (INTERNALS §13).
 
 The in-memory recovery layers (:mod:`repro.runtime.recovery` for simulated
-rank crashes, the supervision images in :mod:`repro.runtime.parallel` for
+rank crashes, the supervision epochs in :mod:`repro.runtime.parallel` for
 worker-process failures) both die with the host process.  The
 :class:`DurabilityManager` closes that gap: on a configurable tick cadence
 it serialises *everything* a restarted process needs — traversal state and
@@ -68,8 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: is a ``(full rank image, recovery part)`` pair, see
 #: :func:`repro.runtime.rank_image.pack`; 4: every rank is the one rank
 #: class — object-visitor queues hold five-field heap entries and an
-#: ``arrays`` state block, ghosts a ``state`` block).
-FORMAT_VERSION = 4
+#: ``arrays`` state block, ghosts a ``state`` block; 5: one k-core visitor
+#: class carrying ``k`` in a slot).
+FORMAT_VERSION = 5
 
 #: Simulated bytes of one rank's durable section beyond its crash-recovery
 #: image (manifest entry, section framing, pager/cache/ledger state).
@@ -79,6 +80,10 @@ DURABLE_SECTION_OVERHEAD_BYTES = 256
 REQUIRED_SECTIONS = frozenset(
     ("loop", "stats", "ranks", "network", "rng", "digests", "recovery")
 )
+
+#: Stats fields :meth:`DurabilityManager.write_epoch` folds after the stats
+#: section is pickled (its disk bytes and read-back verdict).
+_POST_PICKLE_FIELDS = ("durable_disk_bytes", "durable_corrupt_epochs")
 
 _DATA_SUFFIX = ".bin"
 _MANIFEST_SUFFIX = ".json"
@@ -373,52 +378,21 @@ class DurabilityManager:
         loop: dict,
         stats: "TraversalStats",
         rank_sections: list[bytes],
-    ) -> None:
-        """Atomically publish the epoch ending at ``tick``.
+    ) -> list[tuple[str, bytes]]:
+        """Atomically publish the epoch ending at ``tick``; returns its
+        :func:`capture_epoch` sections, which worker supervision keeps as
+        its in-memory epoch when one is due on the same tick.
 
         The durable counters are folded into ``stats`` *before* the stats
         section is pickled (write-time folding): a resumed run restores
         those totals and re-increments only for the epochs it writes
         itself, so final stats — including ``durable_io_us``, which rides
         the simulated clock — land identical to an uninterrupted run's.
-
-        ``rank_sections`` holds each rank's packed section
-        (:func:`~repro.runtime.rank_image.pack`), from the rank executor.
         """
-        eng = self.engine
         stats.durable_checkpoints += 1
         stats.durable_bytes += int(sum(self._last_sim_bytes))
         stats.durable_io_us += self._last_io_us
-        digests = None
-        if eng._record_digests:
-            digests = {
-                "tick_digests": list(eng.tick_digests),
-                "tick_rank_digests": list(eng.tick_rank_digests),
-                "digest_prev": eng._digest_prev.copy(),
-            }
-        sections = [
-            ("loop", loop),
-            ("stats", stats),
-            ("ranks", rank_sections),
-            ("network", eng.network.snapshot_full()),
-            ("rng", {
-                "straggler": (
-                    eng.straggler.snapshot_state()
-                    if eng.straggler is not None
-                    else None
-                ),
-            }),
-            ("digests", digests),
-            ("recovery", self._recovery_section()),
-        ]
-        blobs = [
-            # Highest protocol (5): framed numpy buffers serialize without
-            # the protocol-4 bytes-object copy — epoch images are the
-            # biggest residual pickle producer now that barrier traffic
-            # crosses as packet frames.
-            (name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-            for name, obj in sections
-        ]
+        blobs = capture_epoch(self.engine, loop, stats, rank_sections)
         entries = []
         offset = 0
         for name, blob in blobs:
@@ -450,24 +424,28 @@ class DurabilityManager:
         else:
             stats.durable_corrupt_epochs += 1
         self._prune()
+        return blobs
 
-    def _recovery_section(self) -> dict | None:
-        """Parent-side remainder of the in-memory recovery epoch: the
-        transport channel snapshots, delivery logs and counters.  The
-        recovery-scope rank images ride each rank's section."""
-        rec = self.engine.recovery
-        if rec is None:
-            return None
-        p = self.engine.graph.num_partitions
-        return {
-            "epoch_tick": rec.epoch_tick,
-            "state_bytes": list(rec._state_bytes),
-            "log": [dict(rec._log[r]) for r in range(p)],
-            "transport": list(rec._transport),
-            "checkpoints_taken": rec.checkpoints_taken,
-            "checkpoint_bytes": rec.checkpoint_bytes,
-            "recoveries": rec.recoveries,
-        }
+    def writer_state(self, stats: "TraversalStats") -> tuple:
+        """What an in-memory rollback must rewind besides the epoch's
+        sections, so a re-executed durable tick writes, damages and
+        verifies as it did the first time: the fault plan's RNG position,
+        the verified ticks, and the counters :meth:`write_epoch` folds
+        after its stats section was pickled."""
+        return (
+            None if self._rng is None else self._rng.bit_generator.state,
+            list(self._valid_ticks),
+            {name: getattr(stats, name) for name in _POST_PICKLE_FIELDS},
+        )
+
+    def set_writer_state(self, state: tuple, stats: "TraversalStats") -> None:
+        """Rewind to a :meth:`writer_state`, onto a rolled-back ``stats``."""
+        rng_state, valid_ticks, folded = state
+        if rng_state is not None:
+            self._rng.bit_generator.state = rng_state
+        self._valid_ticks = list(valid_ticks)
+        for name, value in folded.items():
+            setattr(stats, name, value)
 
     def _apply_faults(self, tick: int, bin_path: str, man_path: str) -> None:
         """Deliberately damage the just-committed epoch per the fault plan
@@ -580,9 +558,7 @@ class DurabilityManager:
         if blobs is None:
             return None
         try:
-            payload = {name: pickle.loads(blob) for name, blob in blobs.items()}
-            payload["ranks"] = [pickle.loads(blob) for blob in payload["ranks"]]
-            return payload
+            return unpickle_epoch(blobs)
         except (KeyError, TypeError, ValueError, EOFError,
                 pickle.UnpicklingError, AttributeError, IndexError):
             return None
@@ -660,29 +636,108 @@ class DurabilityManager:
         )
 
     def _install(self, tick: int, payload: dict, skipped: int) -> ResumeState:
-        """Reinstall a verified epoch into the live engine."""
-        eng = self.engine
-        rank_sections = payload["ranks"]
-        for r, (image, _) in enumerate(rank_sections):
-            rank_image.restore(eng, r, image)
-        eng.network.restore_full(payload["network"])
-        straggler_snap = payload["rng"]["straggler"]
-        if straggler_snap is not None and eng.straggler is not None:
-            eng.straggler.restore_state(straggler_snap)
-        digests = payload["digests"]
-        if digests is not None and eng._record_digests:
-            eng.tick_digests = list(digests["tick_digests"])
-            eng.tick_rank_digests = list(digests["tick_rank_digests"])
-            eng._digest_prev = np.array(digests["digest_prev"], dtype=np.int64)
-        stats = payload["stats"]
+        """Reinstall a verified epoch and fold the resume counters."""
+        resume = install_epoch(self.engine, tick, payload)
+        stats = resume.stats
         stats.durable_resumes += 1
         stats.durable_resume_tick = tick
         stats.durable_fallbacks += skipped
         stats.durable_corrupt_epochs += skipped
-        return ResumeState(
-            tick=tick,
-            loop=payload["loop"],
-            stats=stats,
-            recovery=payload["recovery"],
-            rank_recovery_snaps=[recovery for _, recovery in rank_sections],
-        )
+        return resume
+
+
+# ---------------------------------------------------------------------- #
+# One epoch: capture and install (durable epochs and supervision rollback)
+# ---------------------------------------------------------------------- #
+def capture_epoch(
+    engine: "SimulationEngine",
+    loop: dict,
+    stats: "TraversalStats",
+    rank_sections: list[bytes],
+) -> list[tuple[str, bytes]]:
+    """The seven pickled sections of the engine's epoch at a post-flush
+    barrier: loop variables, stats, the ranks' packed sections
+    (:func:`~repro.runtime.rank_image.pack`, from the rank executor),
+    the whole network, RNG streams, order digests and the in-memory
+    recovery epoch.  Durable epochs write them to disk; worker
+    supervision keeps the newest in memory."""
+    digests = None
+    if engine._record_digests:
+        digests = {
+            "tick_digests": list(engine.tick_digests),
+            "tick_rank_digests": list(engine.tick_rank_digests),
+            "digest_prev": engine._digest_prev.copy(),
+        }
+    sections = [
+        ("loop", loop),
+        ("stats", stats),
+        ("ranks", rank_sections),
+        ("network", engine.network.snapshot_full()),
+        ("rng", {
+            "straggler": (
+                engine.straggler.snapshot_state()
+                if engine.straggler is not None
+                else None
+            ),
+        }),
+        ("digests", digests),
+        ("recovery", _recovery_section(engine)),
+    ]
+    # Highest protocol (5): framed numpy buffers serialize without the
+    # protocol-4 bytes-object copy.
+    return [
+        (name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+        for name, obj in sections
+    ]
+
+
+def _recovery_section(engine: "SimulationEngine") -> dict | None:
+    """Parent-side remainder of the in-memory recovery epoch: the
+    transport channel snapshots, delivery logs and counters.  The
+    recovery-scope rank images ride each rank's section."""
+    rec = engine.recovery
+    if rec is None:
+        return None
+    p = engine.graph.num_partitions
+    return {
+        "epoch_tick": rec.epoch_tick,
+        "state_bytes": list(rec._state_bytes),
+        "log": [dict(rec._log[r]) for r in range(p)],
+        "transport": list(rec._transport),
+        "checkpoints_taken": rec.checkpoints_taken,
+        "checkpoint_bytes": rec.checkpoint_bytes,
+        "recoveries": rec.recoveries,
+    }
+
+
+def unpickle_epoch(blobs: dict[str, bytes]) -> dict:
+    """Section objects by name from :func:`capture_epoch`'s bytes."""
+    payload = {name: pickle.loads(blob) for name, blob in blobs.items()}
+    payload["ranks"] = [pickle.loads(blob) for blob in payload["ranks"]]
+    return payload
+
+
+def install_epoch(engine: "SimulationEngine", tick: int, payload: dict) -> ResumeState:
+    """Reinstall an unpickled epoch into the live engine in place: every
+    rank's full image, the network, RNG streams and digests.  The loop
+    variables, stats and recovery epoch go back to the engine in the
+    returned :class:`ResumeState`."""
+    rank_sections = payload["ranks"]
+    for r, (image, _) in enumerate(rank_sections):
+        rank_image.restore(engine, r, image)
+    engine.network.restore_full(payload["network"])
+    straggler_snap = payload["rng"]["straggler"]
+    if straggler_snap is not None and engine.straggler is not None:
+        engine.straggler.restore_state(straggler_snap)
+    digests = payload["digests"]
+    if digests is not None and engine._record_digests:
+        engine.tick_digests = list(digests["tick_digests"])
+        engine.tick_rank_digests = list(digests["tick_rank_digests"])
+        engine._digest_prev = np.array(digests["digest_prev"], dtype=np.int64)
+    return ResumeState(
+        tick=tick,
+        loop=payload["loop"],
+        stats=payload["stats"],
+        recovery=payload["recovery"],
+        rank_recovery_snaps=[recovery for _, recovery in rank_sections],
+    )

@@ -52,11 +52,14 @@ from repro.memory.page_cache import PageCache
 from repro.memory.spill import SpillPager
 from repro.runtime import rank_image
 from repro.runtime.costmodel import STORAGE_NVRAM, EngineConfig, MachineModel
-from repro.runtime.durability import DurabilityManager
+from repro.runtime.durability import DurabilityManager, capture_epoch
 from repro.runtime.parallel import (
+    SUPERVISION_EPOCH_TICKS,
+    ParallelRecoveryManager,
     PoolRanks,
     WorkerCrash,
     WorkerPool,
+    WorkerSupervisor,
     finalize_ranks,
 )
 from repro.runtime.pressure import StragglerClock
@@ -121,8 +124,12 @@ class SimulationEngine:
         #: makes :meth:`run`'s tick loop drive the worker-pool rank
         #: executor (:class:`~repro.runtime.parallel.PoolRanks`).
         self.workers = min(self.config.workers, p)
-        #: Barrier IPC telemetry from the worker pool (frame / pickled-byte
-        #: / barrier-wait counters); stays None at ``workers=1``.
+        #: The run's worker-failure policy (``workers > 1`` only; set by
+        #: :meth:`run`).
+        self.supervisor: WorkerSupervisor | None = None
+        #: Barrier IPC telemetry summed over the run's worker pools (frame
+        #: / pickled-byte / barrier-wait counters); stays None at
+        #: ``workers=1``.
         self.ipc_counters: dict | None = None
         if self.workers > 1 and page_caches is not None:
             raise ConfigurationError(
@@ -304,9 +311,9 @@ class SimulationEngine:
             self.recovery = RecoveryManager(self)
             self.network.recovery = self.recovery
 
-        #: Worker-local crash-recovery images re-seeded into freshly
-        #: forked workers after a durable resume (rank -> recovery-scope
-        #: rank image); empty otherwise — INTERNALS §13.
+        #: Worker-local crash-recovery images re-seeded into workers forked
+        #: from a reinstalled epoch (rank -> recovery-scope rank image);
+        #: empty otherwise — INTERNALS §12, §13.
         self._resume_recovery_snaps: dict[int, dict] = {}
         #: Durable on-disk epoch writer/reader (host-crash recovery);
         #: present only when ``durable_dir`` is configured.
@@ -340,40 +347,47 @@ class SimulationEngine:
     @contextlib.contextmanager
     def _rank_executor(self, resume):
         """The rank executor :meth:`run`'s tick loop drives: in-process at
-        ``workers=1``, a forked worker pool otherwise (shut down on exit,
-        whatever the outcome)."""
-        if self.workers == 1:
+        ``workers=1`` or once supervision has degraded, a forked worker
+        pool otherwise (shut down on exit, whatever the outcome)."""
+        sup = self.supervisor
+        if sup is None or sup.degraded:
+            if isinstance(self.recovery, ParallelRecoveryManager):
+                # Degraded from a pool: a plain manager, which the resume
+                # transplant fills with the epoch's recovery images.
+                self.recovery = RecoveryManager(self)
+                self.network.recovery = self.recovery
             yield _InProcessRanks(self, resume)
             return
+        # Worker-local crash-recovery snapshot halves, picked up by each
+        # forked worker at startup (same-epoch invariant: they match the
+        # transplanted parent-side recovery state).
+        self._resume_recovery_snaps = {}
         if resume is not None and resume.recovery is not None:
-            # Worker-local crash-recovery snapshot halves, picked up by
-            # each forked worker at startup (same-epoch invariant: they
-            # match the transplanted parent-side recovery state).
             self._resume_recovery_snaps = {
                 r: snap
                 for r, snap in enumerate(resume.rank_recovery_snaps)
                 if snap is not None
             }
         with WorkerPool(self, seed_ranks=(resume is None)) as pool:
-            yield PoolRanks(self, pool, resume)
+            try:
+                yield PoolRanks(self, pool, sup)
+            finally:
+                sup.retire(pool)
 
     # ------------------------------------------------------------------ #
     def run(self) -> tuple[list, TraversalStats]:
         """Seed, traverse to global quiescence, return (states, stats).
 
-        The one tick loop.  Rank-local work (seeding, ``_rank_tick``, the
-        rank-0 detector wave, flushes, cache/spill epoch drains) goes
-        through the rank executor; everything the parent owns — transport,
-        cost model, recovery, straggler clock, timeline, durable epochs,
-        termination and the post-mortem — runs here once, whatever the
-        executor.
+        Drives :meth:`_traverse`, the one tick loop, on the rank executor.
+        A durable resume starts it from the newest valid on-disk epoch; a
+        supervised worker failure restarts it from the supervisor's newest
+        in-memory epoch, the same way (INTERNALS §12).
         """
         p = self.graph.num_partitions
-        m = self.machine
         cfg = self.config
         stats = TraversalStats(
             algorithm=self.algorithm.name,
-            machine=m.name,
+            machine=self.machine.name,
             topology=self.topology.name,
             num_ranks=p,
             num_vertices=self.graph.num_vertices,
@@ -402,244 +416,290 @@ class SimulationEngine:
         resume = None
         if self.durable is not None and cfg.durable_resume:
             resume = self.durable.load_latest()
+        sup = self.supervisor = WorkerSupervisor(self) if self.workers > 1 else None
+        while True:
             if resume is not None:
                 stats = resume.stats
                 cache_base = [tuple(cb) for cb in resume.loop["cache_base"]]
-
-        with self._rank_executor(resume) as ex:
-            # Previous / current cumulative counter snapshots for the
-            # per-tick cost deltas, columns: previsits, visits, edges,
-            # packets, bytes.
-            prev = np.zeros((p, 5), dtype=np.int64)
-            cur = np.empty((p, 5), dtype=np.int64)
-            # Cumulative backpressure stalls already charged (the mailboxes
-            # keep the ledger; the loop charges per-tick deltas).
-            bp_prev = np.zeros(p, dtype=np.int64)
-            last_cache_hits = 0
-            last_cache_misses = 0
-            last_bp_stalls = 0
-            if cfg.trace_timeline:
-                # Seeding already ran; a pool's parent-side caches are the
-                # cold fork-time copies (warm caches need workers=1).
-                last_cache_hits = sum(c.hits for c in self.caches if c is not None)
-                last_cache_misses = sum(c.misses for c in self.caches if c is not None)
-
-            if self.recovery is not None:
-                stats.fault_seed = cfg.faults.seed if cfg.faults is not None else None
-                if resume is None:
-                    self.recovery.initial_checkpoint()
-                else:
-                    self._apply_resume_recovery(resume)
-            elif self.reliable_mode and cfg.faults is not None:
-                stats.fault_seed = cfg.faults.seed
-
-            ticks = 0
-            time_us = 0.0
-            last_total_visits = 0
-            if resume is not None:
-                loop = resume.loop
-                ticks = loop["ticks"]
-                time_us = loop["time_us"]
-                prev[:] = loop["prev"]
-                bp_prev[:] = loop["bp_prev"]
-                last_total_visits = loop["last_total_visits"]
-                last_cache_hits = loop["last_cache_hits"]
-                last_cache_misses = loop["last_cache_misses"]
-                last_bp_stalls = loop["last_bp_stalls"]
             try:
-                while True:
-                    t = ticks + 1
-                    arrivals = self.network.advance()
-                    report = self.network.take_report() if self.reliable_mode else None
-                    had_traffic = any(arrivals)
-                    if self.recovery is not None:
-                        for r in self._rank_order:
-                            self.recovery.log_arrivals(t, r, arrivals[r])
-                    control_events = ex.tick(t, arrivals)
-
-                    if self._record_digests:
-                        self._fold_order_digest(t, *ex.digest_rows())
-
-                    checkpoint_costs = None
-                    if (
-                        self.recovery is not None
-                        and t % self._checkpoint_every == 0
-                    ):
-                        checkpoint_costs = self.recovery.checkpoint(t)
-
-                    # ---- charge simulated time -------------------------
-                    # Vectorized counter-delta bookkeeping.  The expression
-                    # below is elementwise and left-associated exactly like
-                    # a scalar per-rank formula would be, so each rank's
-                    # cost is the bit-identical IEEE double a scalar loop
-                    # would compute.
-                    ex.gather_counters(cur)
-                    delta = cur - prev
-                    prev[:] = cur
-                    costs = (
-                        (delta[:, 0] + np.asarray(control_events)) * m.previsit_us
-                        + delta[:, 1] * m.visit_us
-                        + delta[:, 2] * m.edge_scan_us
-                        + delta[:, 3] * m.packet_overhead_us
-                        + delta[:, 4] * m.byte_us
-                    )
-                    for r in range(p):
-                        if self.caches[r] is not None:
-                            cache_us, faults = ex.cache_epoch(r)
-                            costs[r] += cache_us
-                            self._charge_storage_faults(stats, costs, r, faults)
-                        if self.spills[r] is not None:
-                            spill_us, faults = ex.spill_epoch(r)
-                            if spill_us:
-                                costs[r] += spill_us
-                                stats.spill_io_us += spill_us
-                            self._charge_storage_faults(stats, costs, r, faults)
-                        if cfg.mailbox_cap_bytes is not None:
-                            stalls = ex.bp_stalls(r)
-                            bp_delta = stalls - bp_prev[r]
-                            bp_prev[r] = stalls
-                            if bp_delta:
-                                charge = bp_delta * m.credit_stall_us
-                                costs[r] += charge
-                                stats.backpressure_stall_us += charge
-                    if report is not None:
-                        # Reliability tax and recovery time, kept out of the
-                        # logical counters: retransmissions and standalone
-                        # acks pay packet overhead, all protocol bytes pay
-                        # wire cost, restarted ranks pay their restore +
-                        # replay time.
-                        for r in range(p):
-                            extra = (
-                                (report.retrans_packets[r] + report.ack_packets[r])
-                                * m.packet_overhead_us
-                                + (report.retrans_bytes[r] + report.overhead_bytes[r])
-                                * m.byte_us
-                                + report.recovery_us[r]
-                            )
-                            if extra:
-                                costs[r] += extra
-                        self._accumulate_report(stats, report)
-                    if checkpoint_costs is not None:
-                        costs += checkpoint_costs
-                    # Durable epoch cost, from rank-local estimates taken
-                    # after every rank's flush and spill sync.
-                    durable_costs = None
-                    if self.durable is not None and self.durable.due(t):
-                        durable_costs = self.durable.epoch_costs(ex.ckpt_bytes())
-                        costs += durable_costs
-                    if self.straggler is not None:
-                        tick_cost = self.straggler.tick_cost(costs)
-                        tick_floor = self.straggler.pacing_floor(m.min_tick_us)
-                    else:
-                        tick_cost = float(costs.max())
-                        tick_floor = m.min_tick_us
-                    tick_time = max(tick_cost, tick_floor)
-                    if had_traffic or not self.network.idle():
-                        hops = 1 if report is None else max(1, report.data_latency)
-                        tick_time = max(tick_time, m.hop_latency_us * hops)
-                    time_us += tick_time
-                    ticks += 1
-
-                    if cfg.trace_timeline:
-                        visits_now, hits_now, misses_now, bp_now, queued = (
-                            ex.timeline_totals()
-                        )
-                        stats.timeline.append(
-                            TickSample(
-                                tick=ticks,
-                                time_us=time_us,
-                                queued_visitors=queued,
-                                packets_in_flight=self.network.packets_in_flight(),
-                                visits_this_tick=visits_now - last_total_visits,
-                                retransmits=(
-                                    sum(report.retrans_packets)
-                                    if report is not None
-                                    else 0
-                                ),
-                                faults=(
-                                    report.dropped + report.duplicated + report.delayed
-                                    if report is not None
-                                    else 0
-                                ),
-                                recoveries=(
-                                    len(report.recovered) if report is not None else 0
-                                ),
-                                cache_hits=hits_now - last_cache_hits,
-                                cache_misses=misses_now - last_cache_misses,
-                                bp_stalls=bp_now - last_bp_stalls,
-                            )
-                        )
-                        last_total_visits = visits_now
-                        last_cache_hits = hits_now
-                        last_cache_misses = misses_now
-                        last_bp_stalls = bp_now
-
-                    if durable_costs is not None:
-                        # Captured after this tick's checkpoints, so the
-                        # recovery snaps in the rank sections are current.
-                        self.durable.write_epoch(
-                            ticks,
-                            {
-                                "ticks": ticks,
-                                "time_us": time_us,
-                                "prev": prev.copy(),
-                                "bp_prev": bp_prev.copy(),
-                                "last_total_visits": last_total_visits,
-                                "last_cache_hits": last_cache_hits,
-                                "last_cache_misses": last_cache_misses,
-                                "last_bp_stalls": last_bp_stalls,
-                                "cache_base": list(cache_base),
-                            },
-                            stats,
-                            rank_sections=ex.durable_sections(),
-                        )
-                    if cfg.kill_at_tick is not None and ticks == cfg.kill_at_tick:
-                        # Crash-restart harness hook: die hard *after* this
-                        # tick's epoch (if any) committed, like a host power
-                        # loss.
-                        os.kill(os.getpid(), signal.SIGKILL)
-
-                    # ---- stop? -----------------------------------------
-                    if self.detectors is not None:
-                        if ex.all_terminated():
-                            self._assert_truly_done(ex)
-                            break
-                    elif self._oracle_done(ex):
-                        break
-                    if ticks >= cfg.max_ticks:
-                        # Attach the partial stats so a stalled run can be
-                        # post-mortemed (per-rank counters, tick count,
-                        # timeline).
-                        self._finalize_stats(stats, ticks, time_us, cache_base, ex, ex.final())
-                        raise TraversalError(
-                            f"traversal exceeded max_ticks={cfg.max_ticks} "
-                            f"(queued visitors: {ex.queue_lengths()})",
-                            stats=stats,
-                        )
-                states = self._finalize_stats(
-                    stats, ticks, time_us, cache_base, ex, ex.final()
-                )
+                with self._rank_executor(resume) as ex:
+                    states = self._traverse(ex, stats, cache_base, resume)
             except WorkerCrash as crash:
-                # A worker failure the supervisor could not (or was not
-                # allowed to) heal: partial stats from the last barrier,
-                # wrapped like the max_ticks post-mortem.
-                self._finalize_stats(
-                    stats, ticks, time_us, cache_base, ex, ex.last_barrier()
+                if sup is None or not sup.armed:
+                    raise
+                # The pool is down; continue from the newest epoch.
+                resume = sup.rollback(crash)
+                continue
+            if sup is not None:
+                self.ipc_counters = sup.ipc_counters()
+            return states, stats
+
+    def _traverse(self, ex, stats: TraversalStats, cache_base: list, resume) -> list:
+        """The one tick loop, from the start or from ``resume``'s epoch.
+
+        Rank-local work (seeding, ``_rank_tick``, the rank-0 detector wave,
+        flushes, cache/spill epoch drains) goes through the rank executor
+        ``ex``; everything the parent owns — transport, cost model,
+        recovery, straggler clock, timeline, durable and supervision
+        epochs, termination and the post-mortem — runs here once, whatever
+        the executor.  Returns the final states.
+        """
+        p = self.graph.num_partitions
+        m = self.machine
+        cfg = self.config
+        sup = self.supervisor
+        # Previous / current cumulative counter snapshots for the per-tick
+        # cost deltas, columns: previsits, visits, edges, packets, bytes.
+        prev = np.zeros((p, 5), dtype=np.int64)
+        cur = np.empty((p, 5), dtype=np.int64)
+        # Cumulative backpressure stalls already charged (the mailboxes
+        # keep the ledger; the loop charges per-tick deltas).
+        bp_prev = np.zeros(p, dtype=np.int64)
+        last_cache_hits = 0
+        last_cache_misses = 0
+        last_bp_stalls = 0
+        if cfg.trace_timeline:
+            # Seeding already ran; a pool's parent-side caches are the
+            # cold fork-time copies (warm caches need workers=1).
+            last_cache_hits = sum(c.hits for c in self.caches if c is not None)
+            last_cache_misses = sum(c.misses for c in self.caches if c is not None)
+
+        if self.recovery is not None:
+            stats.fault_seed = cfg.faults.seed if cfg.faults is not None else None
+            if resume is None:
+                self.recovery.initial_checkpoint()
+            else:
+                self._apply_resume_recovery(resume)
+        elif self.reliable_mode and cfg.faults is not None:
+            stats.fault_seed = cfg.faults.seed
+
+        ticks = 0
+        time_us = 0.0
+        last_total_visits = 0
+        if resume is not None:
+            loop = resume.loop
+            ticks = loop["ticks"]
+            time_us = loop["time_us"]
+            prev[:] = loop["prev"]
+            bp_prev[:] = loop["bp_prev"]
+            last_total_visits = loop["last_total_visits"]
+            last_cache_hits = loop["last_cache_hits"]
+            last_cache_misses = loop["last_cache_misses"]
+            last_bp_stalls = loop["last_bp_stalls"]
+
+        def loop_vars() -> dict:
+            """The loop variables an epoch carries."""
+            return {
+                "ticks": ticks,
+                "time_us": time_us,
+                "prev": prev.copy(),
+                "bp_prev": bp_prev.copy(),
+                "last_total_visits": last_total_visits,
+                "last_cache_hits": last_cache_hits,
+                "last_cache_misses": last_cache_misses,
+                "last_bp_stalls": last_bp_stalls,
+                "cache_base": list(cache_base),
+            }
+
+        t = ticks
+        try:
+            if sup is not None and sup.armed and sup.epoch is None:
+                # The start tick's supervision epoch (a rollback resumes
+                # from the kept one).
+                sup.keep_epoch(
+                    ticks,
+                    capture_epoch(self, loop_vars(), stats, ex.durable_sections()),
+                    stats,
                 )
-                raise TraversalError(
-                    f"parallel worker failed after {ticks} ticks: {crash}",
-                    stats=stats,
-                ) from crash
-        return states, stats
+            while True:
+                t = ticks + 1
+                arrivals = self.network.advance()
+                report = self.network.take_report() if self.reliable_mode else None
+                had_traffic = any(arrivals)
+                if self.recovery is not None:
+                    for r in self._rank_order:
+                        self.recovery.log_arrivals(t, r, arrivals[r])
+                control_events = ex.tick(t, arrivals)
+
+                if self._record_digests:
+                    self._fold_order_digest(t, *ex.digest_rows())
+
+                checkpoint_costs = None
+                if (
+                    self.recovery is not None
+                    and t % self._checkpoint_every == 0
+                ):
+                    checkpoint_costs = self.recovery.checkpoint(t)
+
+                # ---- charge simulated time -----------------------------
+                # Vectorized counter-delta bookkeeping.  The expression
+                # below is elementwise and left-associated exactly like a
+                # scalar per-rank formula would be, so each rank's cost is
+                # the bit-identical IEEE double a scalar loop would compute.
+                ex.gather_counters(cur)
+                delta = cur - prev
+                prev[:] = cur
+                costs = (
+                    (delta[:, 0] + np.asarray(control_events)) * m.previsit_us
+                    + delta[:, 1] * m.visit_us
+                    + delta[:, 2] * m.edge_scan_us
+                    + delta[:, 3] * m.packet_overhead_us
+                    + delta[:, 4] * m.byte_us
+                )
+                for r in range(p):
+                    if self.caches[r] is not None:
+                        cache_us, faults = ex.cache_epoch(r)
+                        costs[r] += cache_us
+                        self._charge_storage_faults(stats, costs, r, faults)
+                    if self.spills[r] is not None:
+                        spill_us, faults = ex.spill_epoch(r)
+                        if spill_us:
+                            costs[r] += spill_us
+                            stats.spill_io_us += spill_us
+                        self._charge_storage_faults(stats, costs, r, faults)
+                    if cfg.mailbox_cap_bytes is not None:
+                        stalls = ex.bp_stalls(r)
+                        bp_delta = stalls - bp_prev[r]
+                        bp_prev[r] = stalls
+                        if bp_delta:
+                            charge = bp_delta * m.credit_stall_us
+                            costs[r] += charge
+                            stats.backpressure_stall_us += charge
+                if report is not None:
+                    # Reliability tax and recovery time, kept out of the
+                    # logical counters: retransmissions and standalone acks
+                    # pay packet overhead, all protocol bytes pay wire cost,
+                    # restarted ranks pay their restore + replay time.
+                    for r in range(p):
+                        extra = (
+                            (report.retrans_packets[r] + report.ack_packets[r])
+                            * m.packet_overhead_us
+                            + (report.retrans_bytes[r] + report.overhead_bytes[r])
+                            * m.byte_us
+                            + report.recovery_us[r]
+                        )
+                        if extra:
+                            costs[r] += extra
+                    self._accumulate_report(stats, report)
+                if checkpoint_costs is not None:
+                    costs += checkpoint_costs
+                # Durable epoch cost, from rank-local estimates taken after
+                # every rank's flush and spill sync.
+                durable_costs = None
+                if self.durable is not None and self.durable.due(t):
+                    durable_costs = self.durable.epoch_costs(ex.ckpt_bytes())
+                    costs += durable_costs
+                if self.straggler is not None:
+                    tick_cost = self.straggler.tick_cost(costs)
+                    tick_floor = self.straggler.pacing_floor(m.min_tick_us)
+                else:
+                    tick_cost = float(costs.max())
+                    tick_floor = m.min_tick_us
+                tick_time = max(tick_cost, tick_floor)
+                if had_traffic or not self.network.idle():
+                    hops = 1 if report is None else max(1, report.data_latency)
+                    tick_time = max(tick_time, m.hop_latency_us * hops)
+                time_us += tick_time
+                ticks += 1
+
+                if cfg.trace_timeline:
+                    visits_now, hits_now, misses_now, bp_now, queued = (
+                        ex.timeline_totals()
+                    )
+                    stats.timeline.append(
+                        TickSample(
+                            tick=ticks,
+                            time_us=time_us,
+                            queued_visitors=queued,
+                            packets_in_flight=self.network.packets_in_flight(),
+                            visits_this_tick=visits_now - last_total_visits,
+                            retransmits=(
+                                sum(report.retrans_packets)
+                                if report is not None
+                                else 0
+                            ),
+                            faults=(
+                                report.dropped + report.duplicated + report.delayed
+                                if report is not None
+                                else 0
+                            ),
+                            recoveries=(
+                                len(report.recovered) if report is not None else 0
+                            ),
+                            cache_hits=hits_now - last_cache_hits,
+                            cache_misses=misses_now - last_cache_misses,
+                            bp_stalls=bp_now - last_bp_stalls,
+                        )
+                    )
+                    last_total_visits = visits_now
+                    last_cache_hits = hits_now
+                    last_cache_misses = misses_now
+                    last_bp_stalls = bp_now
+
+                # ---- epochs --------------------------------------------
+                # Captured after this tick's checkpoints, so the recovery
+                # snaps in the rank sections are current.  A supervision
+                # epoch due on a durable tick keeps the durable capture.
+                epoch_due = (
+                    sup is not None
+                    and sup.armed
+                    and ticks % SUPERVISION_EPOCH_TICKS == 0
+                )
+                if durable_costs is not None or epoch_due:
+                    loop = loop_vars()
+                    sections = ex.durable_sections()
+                    if durable_costs is not None:
+                        blobs = self.durable.write_epoch(ticks, loop, stats, sections)
+                    else:
+                        blobs = capture_epoch(self, loop, stats, sections)
+                    if epoch_due:
+                        sup.keep_epoch(ticks, blobs, stats)
+                if cfg.kill_at_tick is not None and ticks == cfg.kill_at_tick:
+                    # Crash-restart harness hook: die hard *after* this
+                    # tick's epoch (if any) committed, like a host power
+                    # loss.
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+                # ---- stop? ---------------------------------------------
+                if self.detectors is not None:
+                    if ex.all_terminated():
+                        self._assert_truly_done(ex)
+                        break
+                elif self._oracle_done(ex):
+                    break
+                if ticks >= cfg.max_ticks:
+                    # Attach the partial stats so a stalled run can be
+                    # post-mortemed (per-rank counters, tick count,
+                    # timeline).
+                    self._finalize_stats(stats, ticks, time_us, cache_base, ex.final())
+                    raise TraversalError(
+                        f"traversal exceeded max_ticks={cfg.max_ticks} "
+                        f"(queued visitors: {ex.queue_lengths()})",
+                        stats=stats,
+                    )
+            return self._finalize_stats(stats, ticks, time_us, cache_base, ex.final())
+        except WorkerCrash as crash:
+            if sup is not None and sup.armed and sup.epoch is not None:
+                sup.note_failure(t, prev)
+                raise
+            # A worker failure supervision is not armed to heal: partial
+            # stats from the last barrier, wrapped like the max_ticks
+            # post-mortem.
+            self._finalize_stats(stats, ticks, time_us, cache_base, ex.last_barrier())
+            raise TraversalError(
+                f"parallel worker failed after {ticks} ticks: {crash}",
+                stats=stats,
+            ) from crash
 
     def _apply_resume_recovery(self, resume) -> None:
-        """Transplant a durable epoch's in-memory recovery state.
+        """Transplant a resumed epoch's in-memory recovery state (a durable
+        epoch, or the supervisor's after a worker failure).
 
         Transplanted, never realigned: re-checkpointing at the resume tick
         would shorten a later simulated crash's replay window and change
         its ``recovery_us`` — breaking bit-identity with the uninterrupted
-        run.  Sequentially, each rank's recovery-scope image rides
-        ``resume.rank_recovery_snaps``; under ``workers > 1`` those images
+        run.  In-process, each rank's recovery-scope image rides
+        ``resume.rank_recovery_snaps``; under a worker pool those images
         are re-seeded worker-side via ``_resume_recovery_snaps`` and the
         parent keeps only the transport snapshots, mirroring
         :class:`~repro.runtime.parallel.ParallelRecoveryManager`.
@@ -656,7 +716,7 @@ class SimulationEngine:
         rec.checkpoint_bytes = sec["checkpoint_bytes"]
         rec.recoveries = sec["recoveries"]
         rec._transport = list(sec["transport"])
-        if self.workers == 1:
+        if not isinstance(rec, ParallelRecoveryManager):
             rec._images = list(resume.rank_recovery_snaps)
 
     def _order_digest_hex(self) -> str | None:
@@ -756,12 +816,11 @@ class SimulationEngine:
         ticks: int,
         time_us: float,
         cache_base: list[tuple[int, int, int]],
-        ex,
         final: tuple,
     ) -> list | None:
         """Fold the executor's per-rank counters (``final`` is its
-        ``(counters, waves, states)``) and the parent's totals into
-        ``stats``; returns the states."""
+        ``(counters, waves, states)``), the parent's totals and the
+        supervisor's own counters into ``stats``; returns the states."""
         counters, waves, states = final
         for r, c in enumerate(counters):
             if self.caches[r] is not None:
@@ -780,7 +839,8 @@ class SimulationEngine:
             stats.straggler_stall_us = self.straggler.stall_us
             stats.rebalanced_us = self.straggler.rebalanced_us
             stats.max_slowdown = float(self.straggler.max_slowdown)
-        ex.fold_stats(stats)
+        if self.supervisor is not None:
+            self.supervisor.fold_stats(stats)
         stats.order_digest = self._order_digest_hex()
         return states
 
@@ -930,6 +990,3 @@ class _InProcessRanks:
         eng = self.engine
         counters, _, waves = finalize_ranks(eng, range(len(eng.ranks)))
         return list(counters.values()), waves, [rk.states for rk in eng.ranks]
-
-    def fold_stats(self, stats: TraversalStats) -> None:
-        pass

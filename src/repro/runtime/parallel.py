@@ -58,8 +58,9 @@ Without supervision, a worker failure of any kind (exception, abrupt
 death) surfaces as :class:`~repro.errors.WorkerCrash`, which the engine
 converts into a :class:`~repro.errors.TraversalError` carrying the partial
 stats, matching the ``max_ticks`` behaviour.  With supervision active
-(``worker_restarts > 0`` or a ``worker_faults`` plan), the
-:class:`WorkerSupervisor` makes the pool *self-healing* instead:
+(``worker_restarts > 0`` or a ``worker_faults`` plan), a failure rolls the
+whole run back to its last epoch instead, exactly as ``--resume`` restarts
+from a durable one:
 
 * **Detection.**  Every barrier receive carries a wall-clock deadline
   (``worker_barrier_timeout``, scaled by the tick's arrival volume and by
@@ -68,37 +69,37 @@ stats, matching the ``max_ticks`` behaviour.  With supervision active
   force-killed).  Worker-reported exceptions keep their traceback and
   surface as ``kind="error"``.
 
-* **Respawn and replay.**  At every supervision epoch the workers ship
-  full per-rank state *images* (queue, mailbox, detector, spill pager,
-  caches, spill ledger) to the parent alongside their local snapshots.  A
-  failed worker is forked again from the parent, restored from the latest
-  images, and replays the logged arrival ticks up to the last completed
-  barrier — re-running any *simulated* rank-crash recoveries recorded in
-  that window, so cumulative counters (which carry replay
-  double-increments) land bit-identically.  Replay is
-  simulation-invisible: stub packets are discarded (the real fabric
-  already carried them) and the epoch drains are thrown away.  Respawns
-  are paced by a seeded exponential backoff and bounded by
-  ``worker_restarts``.
+* **Epochs.**  The engine captures an epoch — the durable layer's seven
+  pickled sections (:func:`~repro.runtime.durability.capture_epoch`) — at
+  the start tick and every :data:`SUPERVISION_EPOCH_TICKS` ticks; a
+  durable epoch written on such a tick is kept instead of a second
+  capture.  :class:`WorkerSupervisor` holds the newest one in memory.
 
-* **Graceful degradation.**  When the restart budget is exhausted (or
-  ``fork`` itself fails), the parent adopts the dead worker's images
-  itself and absorbs the orphaned ranks into its own in-process tick
-  loop; the run completes — slower, never wrong.
+* **Rollback.**  Whatever pool command failed (tick, checkpoint,
+  simulated-crash replay, durable capture, finalize), the
+  :class:`~repro.errors.WorkerCrash` reaches ``SimulationEngine.run``,
+  which shuts the pool down; the supervisor reinstalls the epoch into the
+  parent and the loop resumes from the epoch tick on a pool forked afresh
+  from the restored state.  Re-forks are paced by a seeded exponential
+  backoff and bounded per failing worker by ``worker_restarts``.
 
-* **Pricing.**  Restarts, image restores and replayed compute are charged
-  through the machine model into ``TraversalStats.supervision_us`` —
-  deliberately *not* into ``time_us``: the simulated cluster never
-  failed, only host processes did, so the simulated clock and every
-  logical counter stay bit-identical to the unfailed run (the chaos suite
-  compares full stats minus exactly
-  :data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS`).
+* **Graceful degradation.**  When the failing worker's budget is spent
+  (or ``fork`` fails), the epoch is reinstalled and the run continues on
+  the in-process executor — slower, never wrong.
+
+* **Pricing.**  Each rollback is charged through the machine model into
+  ``TraversalStats.supervision_us`` — deliberately *not* into
+  ``time_us``: the simulated cluster never failed, only host processes
+  did, so the simulated clock and every logical counter stay
+  bit-identical to the unfailed run (the chaos suite compares full stats
+  minus exactly :data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS`).
 
 Injected worker faults (:class:`~repro.comm.faults.WorkerFaultPlan`) ride
 the tick token as directives: ``kill`` SIGKILLs the worker before it
 does the tick's work, ``hang`` completes the work and then sleeps past the
 deadline, ``exita`` hard-exits mid-phase-A, and ``forkfail`` consumes
-respawn attempts parent-side.
+re-fork attempts parent-side.  Each directive fires once per run: the
+re-executed ticks after a rollback do not fire it again.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ from repro.comm.message import Packet
 from repro.core.batch import SharedArrayBlock, share_state_arrays
 from repro.errors import ConfigurationError, TraversalError, WorkerCrash
 from repro.runtime import rank_image
+from repro.runtime.durability import ResumeState, install_epoch, unpickle_epoch
 from repro.runtime.packet_codec import (
     decode_ints,
     decode_packets,
@@ -139,6 +141,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import SimulationEngine
 
 __all__ = [
+    "SUPERVISION_EPOCH_TICKS",
     "ParallelRecoveryManager",
     "PoolRanks",
     "RankTickReport",
@@ -149,9 +152,9 @@ __all__ = [
 
 #: Barrier deadline when supervision is active and the user gave none.
 DEFAULT_BARRIER_TIMEOUT_S = 30.0
-#: Supervision image cadence (ticks) when no recovery manager drives it.
+#: Supervision epoch cadence in ticks (plus one epoch at the start tick).
 SUPERVISION_EPOCH_TICKS = 16
-#: Seeded exponential respawn backoff: base doubles per attempt, capped.
+#: Seeded exponential re-fork backoff: base doubles per attempt, capped.
 _BACKOFF_BASE_S = 0.02
 _BACKOFF_CAP_S = 0.5
 #: Arrival-packet volume one deadline unit is assumed to cover.
@@ -397,10 +400,9 @@ def _worker_main(
 ) -> None:
     """Entry point of one forked worker (owns ``owned`` ranks for life).
 
-    ``seed_ranks=False`` marks a supervision *respawn*: the replacement is
-    forked from the parent mid-run, so its inherited rank state is a stale
-    fork-time copy; it sends a bare ready and waits for the ``restore``
-    command to adopt the latest epoch images before rejoining barriers.
+    ``seed_ranks=False`` marks a pool forked from a reinstalled epoch (a
+    durable resume or a supervision rollback): the inherited ranks already
+    hold the epoch's state, so the worker sends a bare ready.
 
     ``table`` is the shared counters table ``(int64, float64)`` (inherited
     through the fork).  A tick arrives as a token followed by its arrival
@@ -412,9 +414,9 @@ def _worker_main(
         for r in owned:
             engine.mailboxes[r].network = stub
         snaps: dict[int, dict] = {}
-        # Durable resume: the parent transplanted each rank's recovery
+        # Resumed epoch: the parent transplanted each rank's recovery
         # snapshot half before forking; adopt the owned ones so a later
-        # simulated rank-crash replays from the pre-kill epoch.
+        # simulated rank-crash replays from the epoch's recovery point.
         for r in owned:
             snap = engine._resume_recovery_snaps.get(r)
             if snap is not None:
@@ -458,11 +460,7 @@ def _worker_main(
                 continue
             cmd = msg[0]
             if cmd == "checkpoint":
-                _send_obj(
-                    conn, ("ok", _worker_checkpoint(engine, owned, snaps, ship=msg[1]))
-                )
-            elif cmd == "restore":
-                _send_obj(conn, ("ok", _adopt_images(engine, stub, *msg[1:], snaps=snaps)))
+                _send_obj(conn, ("ok", _worker_checkpoint(engine, owned, snaps)))
             elif cmd == "replay":
                 _send_obj(conn, ("ok", _worker_replay(engine, stub, snaps, *msg[1:])))
             elif cmd == "durable":
@@ -502,7 +500,7 @@ def _worker_tick(
         packets_a[r] = stub.take()
         if exit_mid_phase_a and idx == 0:
             # Injected mid-phase death: partial state mutations stay behind
-            # (batch arenas are shared) — exactly what restore must undo.
+            # (batch arenas are shared) — exactly what rollback must undo.
             os._exit(13)
 
     # The wave only reads and mutates rank 0's detector/mailbox, so running
@@ -576,96 +574,15 @@ def _worker_tick(
 
 
 def _worker_checkpoint(
-    engine: "SimulationEngine",
-    owned: list[int],
-    snaps: dict[int, dict],
-    ship: bool = False,
-) -> tuple[dict[int, int], dict[int, dict] | None]:
+    engine: "SimulationEngine", owned: list[int], snaps: dict[int, dict]
+) -> dict[int, int]:
     """Snapshot the owned ranks' restartable state locally; ship only the
-    simulated checkpoint byte sizes — unless ``ship`` (supervision
-    active), in which case full-scope rank images cross the pipe too:
-    everything a replacement process forked from the parent cannot
-    reconstruct."""
+    simulated checkpoint byte sizes."""
     out: dict[int, int] = {}
-    images: dict[int, dict] | None = {} if ship else None
     for r in owned:
-        image = rank_image.capture(engine, r, full=ship)
-        snaps[r] = rank_image.recovery_part(image)
+        snaps[r] = rank_image.capture(engine, r, full=False)
         out[r] = estimate_checkpoint_bytes(engine, r)
-        if ship:
-            images[r] = image
-    return out, images
-
-
-def _adopt_images(
-    engine: "SimulationEngine",
-    stub: _StubNetwork,
-    images: dict[int, dict],
-    epoch_tick: int,
-    upto_tick: int,
-    logs: dict[int, dict[int, tuple]],
-    recoveries: dict[int, list],
-    snaps: dict[int, dict],
-) -> tuple[tuple, tuple, int, int]:
-    """Restore epoch images for a rank set and replay through ``upto_tick``.
-
-    Shared by the respawned worker's ``restore`` command and the parent's
-    graceful-degradation absorb.  Restores every image in place (shared
-    batch arenas survive; a dead worker's partial writes are overwritten),
-    repopulates ``snaps`` with the crash-recovery subset, then re-executes
-    ticks ``epoch_tick+1 .. upto_tick`` from the logged arrivals — first
-    re-running any recorded *simulated* rank-crash recoveries scheduled at
-    that tick, so cumulative counters reproduce the replay residue the
-    original worker carried.  All emitted packets, epoch drains and order
-    probes are discarded: the fabric already carried this work at the
-    original barriers.  Returns ``(c0, c1, controls, replayed)`` for
-    parent-side pricing (``c0`` taken *after* restore, so the delta is
-    exactly the replayed compute).
-    """
-    cfg = engine.config
-    owned = sorted(images)
-    for r in owned:
-        engine.mailboxes[r].network = stub
-        rank_image.restore(engine, r, images[r])
-        snaps[r] = rank_image.recovery_part(images[r])
-    c0 = counter_snapshot(engine, owned)
-    order = [r for r in engine._rank_order if r in images]
-    recovered = 0
-
-    def rerun_recoveries(t: int) -> None:
-        # A recorded simulated recovery ran *before* its crash tick's work
-        # (the transport detects the crash while delivering the tick's
-        # arrivals); outputs are discarded, only the counter residue
-        # matters.
-        nonlocal recovered
-        for r in order:
-            for crash_tick, ep, lg in recoveries.get(r, ()):
-                if crash_tick == t:
-                    recovered += _worker_replay(engine, stub, snaps, r, ep, t, lg)[4]
-
-    def discard(t: int) -> None:
-        if cfg.queue_spill is not None:
-            for r in order:
-                if engine.spills[r] is not None:
-                    engine.ranks[r].sync_spill(engine.spills[r], cfg.queue_spill)
-        stub.take()
-
-    controls, replayed = replay_ticks(
-        engine, order, epoch_tick + 1, upto_tick,
-        lambda r, t: logs.get(r, {}).get(t, ()),
-        before=rerun_recoveries, after=discard,
-    )
-    for r in owned:
-        # Throw the replay's epoch accumulators away in one drain — the
-        # original barriers already charged these epochs, and draining
-        # zeroes the same counters whether done per tick or at the end.
-        if engine.caches[r] is not None:
-            engine.caches[r].drain_epoch_us(concurrency=cfg.io_concurrency)
-        if engine.spills[r] is not None:
-            engine.spills[r].drain_epoch_us(concurrency=cfg.io_concurrency)
-        if engine._record_digests and engine.ranks[r].order_probe is not None:
-            engine.ranks[r].order_probe.clear()
-    return c0, counter_snapshot(engine, owned), controls, replayed + recovered
+    return out
 
 
 def _worker_replay(
@@ -738,18 +655,18 @@ def finalize_ranks(
 # Parent side
 # ---------------------------------------------------------------------- #
 class WorkerPool:
-    """Persistent forked worker pool for one :meth:`SimulationEngine.run`.
+    """Persistent forked worker pool for one rank executor.
 
-    Forked in the constructor — after the engine is fully built and after
-    the array state blocks are rebound onto shared arenas — so
-    every worker's engine copy is bit-identical to the parent's by
-    construction.
+    Forked in the constructor — after the engine is fully built (or an
+    epoch reinstalled) and after the array state blocks are rebound onto
+    shared arenas — so every worker's engine copy is bit-identical to the
+    parent's by construction.
 
     The pool is pure *transport*: fork, send, receive-with-deadline,
-    kill, respawn, reap.  Failure classification happens here (every
-    receive path raises a structured :class:`~repro.errors.WorkerCrash`);
-    the recovery *policy* lives in :class:`WorkerSupervisor`.  Use as a
-    context manager so no child processes outlive a parent-side error::
+    kill, reap.  Failure classification happens here (every receive path
+    raises a structured :class:`~repro.errors.WorkerCrash`); the recovery
+    *policy* lives in :class:`WorkerSupervisor`.  Use as a context manager
+    so no child processes outlive a parent-side error::
 
         with WorkerPool(engine) as pool:
             ...
@@ -801,7 +718,7 @@ class WorkerPool:
         self._procs = []
         self._conns = []
         #: liveness according to the last observation (updated by
-        #: :meth:`recv` / :meth:`kill` / :meth:`respawn`).
+        #: :meth:`recv` / :meth:`kill`).
         self.alive: list[bool] = []
         for i in range(w):
             parent_conn, child_conn = ctx.Pipe()
@@ -810,8 +727,19 @@ class WorkerPool:
                 args=(engine, self.owned[i], child_conn, self._table, seed_ranks),
                 daemon=True,
             )
-            proc.start()
-            child_conn.close()
+            try:
+                proc.start()
+            except OSError as exc:
+                # A failed fork is a failed worker: reap the ones already
+                # started and let the supervisor decide.
+                parent_conn.close()
+                self.shutdown()
+                raise WorkerCrash(
+                    f"forking worker {i} failed: {exc}",
+                    worker=i, ranks=self.owned[i], kind="crash",
+                ) from exc
+            finally:
+                child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
             self.alive.append(True)
@@ -824,6 +752,12 @@ class WorkerPool:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None:
+            # A failed run: no worker holds anything the parent needs, and
+            # a worker mid-reply would block on its pipe instead of
+            # reading "stop".
+            for i in range(self.num_workers):
+                self.kill(i)
         self.shutdown()
         return False
 
@@ -1046,32 +980,6 @@ class WorkerPool:
         proc.join(timeout=5.0)
         self.alive[i] = False
 
-    def respawn(self, i: int) -> None:
-        """Fork a replacement for worker ``i``'s rank set.
-
-        The child is forked from the parent *mid-run* with
-        ``seed_ranks=False``: its inherited state is stale and must be
-        overwritten by a ``restore`` command before it can serve barriers.
-        Raises ``OSError`` if the fork itself fails (the supervisor's
-        retry loop treats that as one consumed attempt).
-        """
-        self.kill(i)
-        try:
-            self._conns[i].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self._engine, self.owned[i], child_conn, self._table, False),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        self._procs[i] = proc
-        self._conns[i] = parent_conn
-        self.alive[i] = True
-
     def shutdown(self) -> None:
         """Stop and reap every worker (no child-process leak across runs).
         Safe after errors: a wedged worker is terminated, not joined
@@ -1097,32 +1005,25 @@ class WorkerPool:
 
 
 class WorkerSupervisor:
-    """Self-healing barrier coordinator over a :class:`WorkerPool`.
+    """Worker-failure policy of one :meth:`SimulationEngine.run`.
 
-    There is exactly one barrier code path whether supervision is active
-    or not: every ``start``/``tick``/``checkpoint``/``replay``/``finalize``
-    goes through the supervisor.  Inactive (the default: no restart
-    budget, no fault plan), it adds no deadline and re-raises the first
-    :class:`~repro.errors.WorkerCrash` — the PR-6 fail-fast contract.
-    Active, a failed barrier runs the recovery ladder:
+    Inactive (the default: no restart budget, no fault plan), it adds no
+    deadline and a :class:`~repro.errors.WorkerCrash` fails the run — the
+    fail-fast contract.  Active, it keeps the run's newest epoch in memory
+    and :meth:`rollback` answers a failure: classify it, then reinstall
+    the epoch and either fork a fresh pool (seeded backoff, at most
+    ``worker_restarts`` attempts per failing worker) or, with the budget
+    spent, continue in-process.
 
-    1. classify (``error`` / ``crash`` / ``hang``, hung workers killed);
-    2. up to ``worker_restarts`` times: seeded backoff, fork a
-       replacement, restore it from the latest epoch images, replay the
-       logged ticks (re-running recorded simulated recoveries), resend
-       the failed command;
-    3. on budget exhaustion or fork failure, absorb the orphaned ranks
-       into the parent's own tick loop (graceful degradation) and serve
-       the command in-process.
-
-    All recovery work is host-side and priced into ``supervision_us``;
-    the simulated clock, logical counters, packets and digests stay
-    bit-identical to an unfailed ``workers=1`` run.
+    The supervisor outlives the pools it watches, so everything a rollback
+    must *not* rewind lives here rather than in the restored stats: the
+    fired fault directives (a re-executed tick must not fire a kill
+    again), the per-worker attempts, the backoff RNG, the supervision
+    counters and the IPC totals of retired pools.
     """
 
-    def __init__(self, engine: "SimulationEngine", pool: WorkerPool) -> None:
+    def __init__(self, engine: "SimulationEngine") -> None:
         self.engine = engine
-        self.pool = pool
         cfg = engine.config
         p = engine.graph.num_partitions
         self.plan = cfg.worker_faults
@@ -1143,23 +1044,16 @@ class WorkerSupervisor:
         self._rng = resolve_rng(self.plan.seed if self.plan is not None else 0)
         self._forkfails_left = self.plan.fork_failures if self.plan is not None else 0
         self._fired: set[tuple[int, int, str]] = set()
-        self._attempts = [0] * pool.num_workers
-        self._retired = [False] * pool.num_workers
-        #: latest epoch images / simulated byte sizes, keyed by rank.
-        self._images: dict[int, dict] = {}
-        self._image_bytes: dict[int, int] = {}
-        self._epoch_tick = -1
-        #: per-rank arrival log since the epoch: {tick: (packets...)}.
-        self._log: list[dict[int, tuple]] = [dict() for _ in range(p)]
-        #: per-rank recorded *simulated* rank-crash recoveries since the
-        #: epoch: (crash_tick, epoch_tick, arrival log) — re-run during
-        #: restore so counter residue reproduces (see ``_adopt_images``).
-        self._recoveries: list[list] = [[] for _ in range(p)]
-        self._completed_tick = 0
-        #: stub for parent-absorbed ranks (degraded mode).
-        self._stub = _StubNetwork(engine.network)
-        self._absorbed: list[int] = []
-        self._parent_snaps: dict[int, dict] = {}
+        self._attempts = [0] * engine.workers
+        #: the run fell back to the in-process executor for good.
+        self.degraded = False
+        #: newest epoch: (tick, capture_epoch sections by name, durable
+        #: writer state or None).
+        self.epoch: tuple[int, dict[str, bytes], tuple | None] | None = None
+        #: (tick, summed counters) where the loop saw the pending failure.
+        self._failure: tuple[int, list[int]] | None = None
+        self._reforking = False
+        self._ipc: dict = {}
         # supervision stats, folded into TraversalStats at finalize
         self.worker_crashes = 0
         self.worker_hangs = 0
@@ -1168,222 +1062,38 @@ class WorkerSupervisor:
         self.supervision_us = 0.0
 
     @property
-    def degraded_ranks(self) -> int:
-        return len(self._absorbed)
+    def armed(self) -> bool:
+        """Whether a worker failure rolls back (and epochs are taken)."""
+        return self.active and not self.degraded
 
     # -------------------------------------------------------------- #
-    # Barrier commands
+    # Epochs and rollback
     # -------------------------------------------------------------- #
-    def start(self) -> dict[int, list[Packet]]:
-        """Collect the workers' ready messages; returns the seed-phase
-        packets keyed by emitting rank.  Seed-phase failures fail fast —
-        there are no images to restore from yet."""
-        seed: dict[int, list[Packet]] = {}
-        for i in range(self.pool.num_workers):
-            seed.update(self.pool.recv(i, self.timeout))
-        return seed
+    def keep_epoch(self, tick: int, blobs: list[tuple[str, bytes]], stats) -> None:
+        """Make ``blobs`` (:func:`~repro.runtime.durability.capture_epoch`
+        of tick ``tick``) the rollback target."""
+        durable = self.engine.durable
+        writer = None if durable is None else durable.writer_state(stats)
+        self.epoch = (tick, dict(blobs), writer)
 
-    def note_completed(self, t: int) -> None:
-        """Advance the completed-tick watermark.  Must run *before* tick
-        ``t``'s checkpoint: a failure during that checkpoint replays
-        through ``t`` (its barrier already completed)."""
-        self._completed_tick = t
+    def note_failure(self, tick: int, counters: np.ndarray) -> None:
+        """Record where the loop stood when a failure reached it: the tick
+        being executed and the ranks' cumulative ``(previsits, visits,
+        edges, packets, bytes)`` counters, for :meth:`rollback`'s price."""
+        self._failure = (tick, counters.sum(axis=0).tolist())
 
-    def maybe_checkpoint(self, t: int) -> None:
-        """Supervision-only image cadence (recovery-manager-less runs)."""
-        if (
-            self.active
-            and self.engine.recovery is None
-            and t % SUPERVISION_EPOCH_TICKS == 0
-        ):
-            self.checkpoint(t)
-
-    def tick(
-        self, t: int, arrivals: list[list[Packet]]
-    ) -> tuple[dict[int, RankTickReport], list[Packet]]:
-        """Fan tick ``t`` out (each worker gets only its ranks' arrivals)
-        and gather the merged per-rank reports plus the rank-0 wave
-        packets, surviving worker failures when supervision is active."""
-        pool = self.pool
-        if self.active:
-            for r, pkts in enumerate(arrivals):
-                if pkts:
-                    self._log[r][t] = tuple(pkts)
-        directives = self._tick_directives(t)
-        deadline = self._tick_deadline(arrivals)
-
-        def owned_arrivals(ranks):
-            return {r: arrivals[r] for r in ranks if arrivals[r]}
-
-        def local(ranks):
-            return _worker_tick(self.engine, self._stub, ranks, owned_arrivals(ranks))
-
-        outs = []
-        if self._absorbed:
-            outs.append(local(self._absorbed))
-        send_failures: dict[int, WorkerCrash] = {}
-        for i in range(pool.num_workers):
-            if self._retired[i]:
-                continue
-            try:
-                pool.send_tick(i, t, owned_arrivals(pool.owned[i]), directives.get(i))
-            except WorkerCrash as crash:
-                send_failures[i] = crash
-        for i in range(pool.num_workers):
-            if self._retired[i]:
-                continue
-            crash = send_failures.get(i)
-            if crash is None:
-                try:
-                    outs.append(pool.recv(i, deadline))
-                    continue
-                except WorkerCrash as exc:
-                    crash = exc
-            # The resent tick drops the directive: an injected fault fires
-            # once.
-            outs.append(self._handle_failure(
-                i, crash,
-                lambda i=i: pool.send_tick(i, t, owned_arrivals(pool.owned[i]), None),
-                deadline, lambda i=i: local(pool.owned[i]),
-            ))
-        reports: dict[int, RankTickReport] = {}
-        wave: list[Packet] = []
-        for out_reports, wave_packets in outs:
-            reports.update(out_reports)
-            if wave_packets:
-                wave = wave_packets
-        return reports, wave
-
-    def _gather(self, msg: tuple, local_fn) -> list:
-        """Run one control command on every live worker and, through
-        ``local_fn(ranks)``, on the parent's absorbed ranks; a failed
-        worker is healed (or absorbed and served by ``local_fn``).
-        Returns the replies."""
-        pool = self.pool
-        outs = []
-        if self._absorbed:
-            outs.append(local_fn(self._absorbed))
-        for i in range(pool.num_workers):
-            if self._retired[i]:
-                continue
-            try:
-                pool.send(i, msg)
-                out = pool.recv(i, self.timeout)
-            except WorkerCrash as crash:
-                out = self._handle_failure(
-                    i, crash, lambda i=i: pool.send(i, msg), self.timeout,
-                    lambda i=i: local_fn(pool.owned[i]),
-                )
-            outs.append(out)
-        return outs
-
-    def checkpoint(self, tick: int) -> dict[int, int]:
-        """All live workers (and the parent, for absorbed ranks) snapshot
-        their ranks; with supervision active the full images are shipped
-        and become the new restore epoch.  Returns simulated bytes by
-        rank."""
-        ship = self.active
-        merged: dict[int, int] = {}
-        images: dict[int, dict] = {}
-        outs = self._gather(
-            ("checkpoint", ship),
-            lambda ranks: _worker_checkpoint(
-                self.engine, ranks, self._parent_snaps, ship=ship
-            ),
-        )
-        for part, imgs in outs:
-            merged.update(part)
-            if imgs:
-                images.update(imgs)
-        if ship:
-            self._images.update(images)
-            self._image_bytes.update(merged)
-            self._epoch_tick = tick
-            for r in range(len(self._log)):
-                self._log[r] = {u: v for u, v in self._log[r].items() if u > tick}
-                self._recoveries[r] = [e for e in self._recoveries[r] if e[0] > tick]
-        return merged
-
-    def replay(
-        self,
-        r: int,
-        epoch_tick: int,
-        crash_tick: int,
-        log: dict[int, list[Packet]],
-    ) -> tuple[list[list[Packet]], tuple, tuple, int, int]:
-        """Simulated rank-crash recovery: route the restore-and-replay of
-        rank ``r`` to its owner (or run it in-process for absorbed ranks),
-        recording the event so a later *worker* failure's restore can
-        re-run it — see :func:`_adopt_images`."""
-        if self.active:
-            self._recoveries[r].append((crash_tick, epoch_tick, dict(log)))
-        def local():
-            return _worker_replay(
-                self.engine, self._stub, self._parent_snaps,
-                r, epoch_tick, crash_tick, log,
-            )
-
-        if r in self._absorbed:
-            return local()
-        i = self.pool.owner[r]
-        msg = ("replay", r, epoch_tick, crash_tick, log)
-        deadline = None
-        if self.timeout is not None:
-            deadline = self.timeout * max(1, crash_tick - epoch_tick)
-        try:
-            self.pool.send(i, msg)
-            return self.pool.recv(i, deadline)
-        except WorkerCrash as crash:
-            return self._handle_failure(
-                i, crash, lambda: self.pool.send(i, msg), deadline, local
-            )
-
-    def finalize(self) -> tuple[dict, dict, int | None]:
-        """Gather final counters (and unshared states) from all live
-        workers plus the parent's absorbed ranks."""
-        counters: dict[int, object] = {}
-        states: dict[int, object] = {}
-        waves: int | None = None
-        ship = self.pool.ship_states
-        outs = self._gather(
-            ("finalize", ship), lambda ranks: finalize_ranks(self.engine, ranks, ship)
-        )
-        for part_c, part_s, part_w in outs:
-            counters.update(part_c)
-            states.update(part_s)
-            if part_w is not None:
-                waves = part_w
-        return counters, states, waves
-
-    def durable_capture(self) -> list[bytes]:
-        """Gather every rank's packed durable epoch section from its owner (or
-        the parent, for absorbed ranks) for
-        :meth:`~repro.runtime.durability.DurabilityManager.write_epoch`.
-        Runs at the same barrier position as the sequential collection —
-        after the tick's flush/drain, before the stop checks — so the
-        captured state is bit-identical to a ``workers=1`` epoch."""
-        sections: dict[int, bytes] = {}
-        outs = self._gather(
-            ("durable",),
-            lambda ranks: _worker_durable(self.engine, ranks, self._parent_snaps),
-        )
-        for out in outs:
-            sections.update(out)
-        return [sections[r] for r in range(self.engine.graph.num_partitions)]
-
-    # -------------------------------------------------------------- #
-    # Recovery ladder
-    # -------------------------------------------------------------- #
-    def _handle_failure(self, i, crash, resend, deadline, parent_fn):
-        """Generic per-command recovery driver: respawn-and-replay under
-        the retry budget, then graceful degradation.  ``resend()`` sends
-        the failed command again to the replacement worker.  Returns the
-        failed command's reply, produced by a replacement worker or the
-        parent."""
-        self._note(crash)
-        if not self.active or not self._images:
+    def rollback(self, crash: WorkerCrash) -> ResumeState:
+        """Answer a failure of the (already shut down) pool: pick a fresh
+        pool or the in-process fallback, then reinstall the newest epoch
+        into the engine and return it for the loop to resume from.  Raises
+        ``crash`` when no epoch exists yet."""
+        self.worker_crashes += 1
+        if crash.kind == "hang":
+            self.worker_hangs += 1
+        if self.epoch is None:
             raise crash
-        pool = self.pool
+        i = crash.worker
+        self._reforking = False
         while self._attempts[i] < self.restart_budget:
             self._attempts[i] += 1
             self._backoff(self._attempts[i])
@@ -1391,90 +1101,39 @@ class WorkerSupervisor:
                 # Injected fork failure: the attempt is consumed, no child.
                 self._forkfails_left -= 1
                 continue
-            try:
-                pool.respawn(i)
-            except OSError:  # pragma: no cover - real fork failure
-                continue
-            try:
-                pool.recv(i, self.timeout)  # bare ready
-                self._restore_worker(i)
-                resend()
-                out = pool.recv(i, deadline)
-            except WorkerCrash as again:
-                self._note(again)
-                pool.kill(i)
-                continue
+            self._reforking = True
+            break
+        self.degraded = not self._reforking
+        eng = self.engine
+        tick, blobs, writer = self.epoch
+        resume = install_epoch(eng, tick, unpickle_epoch(blobs))
+        if writer is not None:
+            eng.durable.set_writer_state(writer, resume.stats)
+        c0 = resume.loop["prev"].sum(axis=0).tolist()
+        failed_tick, c1 = self._failure or (tick, c0)
+        self._failure = None
+        self.supervision_us += replay_price_us(eng.machine, c0, c1, 0, len(blobs["ranks"]))
+        self.worker_replayed_ticks += failed_tick - tick
+        return resume
+
+    def pool_started(self) -> None:
+        """A pool answered its readies; counts it when it is a re-fork."""
+        if self._reforking:
             self.worker_respawns += 1
-            return out
-        self._absorb(i)
-        return parent_fn()
-
-    def _restore_args(self, owned: list[int]) -> tuple:
-        """``_adopt_images`` arguments for ``owned``: the epoch images,
-        epoch and completed ticks, arrival logs and recorded recoveries."""
-        return (
-            {r: self._images[r] for r in owned},
-            self._epoch_tick,
-            self._completed_tick,
-            {r: self._log[r] for r in owned},
-            {r: list(self._recoveries[r]) for r in owned},
-        )
-
-    def _restore_worker(self, i: int) -> None:
-        """Ship the epoch images + logs + recorded recoveries to the
-        freshly respawned worker ``i`` and wait for its replay to the
-        completed-tick watermark."""
-        pool = self.pool
-        owned = pool.owned[i]
-        pool.send(i, ("restore", *self._restore_args(owned)))
-        deadline = None
-        if self.timeout is not None:
-            deadline = self.timeout * max(1, self._completed_tick - self._epoch_tick)
-        out = pool.recv(i, deadline)
-        self._price_recovery(owned, *out)
-
-    def _absorb(self, i: int) -> None:
-        """Graceful degradation: retire worker ``i`` for good and adopt
-        its ranks into the parent's own in-process tick loop."""
-        pool = self.pool
-        pool.kill(i)
-        self._retired[i] = True
-        owned = pool.owned[i]
-        out = _adopt_images(
-            self.engine, self._stub, *self._restore_args(owned),
-            snaps=self._parent_snaps,
-        )
-        self._price_recovery(owned, *out)
-        absorbed = frozenset(self._absorbed) | frozenset(owned)
-        self._absorbed = [r for r in self.engine._rank_order if r in absorbed]
-
-    # -------------------------------------------------------------- #
-    # Bookkeeping
-    # -------------------------------------------------------------- #
-    def _note(self, crash: WorkerCrash) -> None:
-        self.worker_crashes += 1
-        if getattr(crash, "kind", None) == "hang":
-            self.worker_hangs += 1
+            self._reforking = False
 
     def _backoff(self, attempt: int) -> None:
-        """Seeded exponential backoff between respawn attempts (host-side
+        """Seeded exponential backoff between re-fork attempts (host-side
         pacing; the jitter stream is deterministic per fault seed)."""
         delay = min(_BACKOFF_BASE_S * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
         time.sleep(delay * (0.5 + float(self._rng.random())))
 
-    def _price_recovery(self, owned, c0, c1, controls, replayed) -> None:
-        """Charge one restore-and-replay through the machine model into
-        ``supervision_us`` (never ``time_us`` — the simulated cluster
-        never failed, this is the host-failure what-if price tag)."""
-        image_bytes = sum(self._image_bytes.get(r, 0) for r in owned)
-        self.supervision_us += replay_price_us(
-            self.engine.machine, c0, c1, controls, image_bytes
-        )
-        self.worker_replayed_ticks += replayed
-
-    def _tick_directives(self, t: int) -> dict[int, str]:
-        """Resolve this tick's injected fault directives to worker ids
-        (one per worker per tick; events on absorbed ranks are moot)."""
+    # -------------------------------------------------------------- #
+    # Barrier policy
+    # -------------------------------------------------------------- #
+    def directives(self, t: int, owner: list[int]) -> dict[int, str]:
+        """This tick's injected fault directives by worker id (one per
+        worker per tick); each plan event fires once per run."""
         if self.plan is None:
             return {}
         out: dict[int, str] = {}
@@ -1483,21 +1142,40 @@ class WorkerSupervisor:
             if key in self._fired:
                 continue
             self._fired.add(key)
-            if ev.rank in self._absorbed:
-                continue
-            i = self.pool.owner[ev.rank]
-            if self._retired[i]:
-                continue
-            out.setdefault(i, ev.kind)
+            out.setdefault(owner[ev.rank], ev.kind)
         return out
 
-    def _tick_deadline(self, arrivals: list[list[Packet]]) -> float | None:
+    def tick_deadline(self, arrivals: list[list[Packet]]) -> float | None:
         """Wall-clock barrier deadline for one tick, scaled by the tick's
         arrival volume so heavy ticks aren't misclassified as hangs."""
         if self.timeout is None:
             return None
         total = sum(pkt.count for a in arrivals for pkt in a)
         return self.timeout * max(1.0, total / _DEADLINE_PACKETS)
+
+    # -------------------------------------------------------------- #
+    # Bookkeeping
+    # -------------------------------------------------------------- #
+    def retire(self, pool: WorkerPool) -> None:
+        """Add a shut-down pool's IPC counters to the run's totals."""
+        for key, value in pool.ipc_counters().items():
+            self._ipc[key] = value if key == "workers" else self._ipc.get(key, 0) + value
+
+    def ipc_counters(self) -> dict:
+        """Barrier IPC telemetry summed over every pool of the run."""
+        out = dict(self._ipc)
+        out["barrier_seconds"] = round(out["barrier_seconds"], 6)
+        return out
+
+    def fold_stats(self, stats: TraversalStats) -> None:
+        """Surface the supervisor's own activity (excluded from the chaos
+        bit-identity contract via ``SUPERVISION_STATS_FIELDS``)."""
+        stats.worker_crashes = self.worker_crashes
+        stats.worker_hangs = self.worker_hangs
+        stats.worker_respawns = self.worker_respawns
+        stats.worker_replayed_ticks = self.worker_replayed_ticks
+        stats.degraded_ranks = self.engine.graph.num_partitions if self.degraded else 0
+        stats.supervision_us = self.supervision_us
 
 
 class ParallelRecoveryManager(RecoveryManager):
@@ -1509,22 +1187,17 @@ class ParallelRecoveryManager(RecoveryManager):
     transport channel snapshots, delivery logs, byte/cost accounting —
     and interleaves transport notes with the worker's replayed sends in
     per-tick order, so the transport observes the same operation sequence
-    as a sequential replay.  Barrier traffic is routed through the
-    :class:`WorkerSupervisor`, so simulated rank crashes and real worker
-    failures compose (the supervisor records every simulated replay and
-    re-runs it when restoring a respawned worker).
+    as a sequential replay.
     """
 
-    def __init__(self, engine: "SimulationEngine", supervisor: WorkerSupervisor) -> None:
+    def __init__(self, engine: "SimulationEngine", ranks: "PoolRanks") -> None:
         super().__init__(engine)
-        self.supervisor = supervisor
+        self.ranks = ranks
 
     def _snapshot_ranks(self, tick: int) -> tuple[list[dict | None], list[int]]:
         """Rank images stay in the owning workers; the parent keeps only
         the transport snapshots (taken by the caller)."""
-        sizes = self.supervisor.checkpoint(tick)
-        p = self.engine.graph.num_partitions
-        return [None] * p, [sizes[r] for r in range(p)]
+        return [None] * self.engine.graph.num_partitions, self.ranks.checkpoint()
 
     def _replay(self, r: int, crash_tick: int) -> tuple:
         """Replay in the owning worker; the parent restores the transport
@@ -1533,7 +1206,7 @@ class ParallelRecoveryManager(RecoveryManager):
         eng = self.engine
         eng.network.restore_rank(r, self._transport[r])
         log = self._log[r]
-        per_tick_packets, c0, c1, controls, replayed = self.supervisor.replay(
+        per_tick_packets, c0, c1, controls, replayed = self.ranks.replay(
             r, self.epoch_tick, crash_tick,
             {t: v for t, v in log.items() if t > self.epoch_tick},
         )
@@ -1548,26 +1221,31 @@ class ParallelRecoveryManager(RecoveryManager):
 class PoolRanks:
     """The ``workers > 1`` rank executor of :meth:`SimulationEngine.run`.
 
-    Runs each tick's rank work in the forked pool through a
-    :class:`WorkerSupervisor` and replays the workers' packets into the
-    real network in the sequential global send order — per-rank phase A
-    in ``_rank_order``, the rank-0 wave, per-rank phase B in
-    ``_rank_order`` — so the engine's one tick loop sees exactly what the
-    in-process executor produces.  Every other answer is read from the
-    tick's barrier reports.
+    Runs each tick's rank work in the forked pool and replays the
+    workers' packets into the real network in the sequential global send
+    order — per-rank phase A in ``_rank_order``, the rank-0 wave, per-rank
+    phase B in ``_rank_order`` — so the engine's one tick loop sees exactly
+    what the in-process executor produces.  Every other answer is read
+    from the tick's barrier reports.  A failed command raises
+    :class:`~repro.errors.WorkerCrash` to the loop.
     """
 
-    def __init__(self, engine: "SimulationEngine", pool: WorkerPool, resume) -> None:
+    def __init__(
+        self, engine: "SimulationEngine", pool: WorkerPool, sup: WorkerSupervisor
+    ) -> None:
         self.engine = engine
         self.pool = pool
-        self.supervisor = sup = WorkerSupervisor(engine, pool)
+        self.sup = sup
         #: the last completed barrier's reports, indexed by rank.
         self.reports: list[RankTickReport] | None = None
         # Seed-phase packets, replayed in natural rank order — exactly
-        # where in-process seeding's eager flushes land.  A resumed pool
-        # sends bare readies (the restored network already carries every
-        # in-flight packet).
-        seed_packets = sup.start()
+        # where in-process seeding's eager flushes land.  A pool forked
+        # from an epoch sends bare readies (the restored network already
+        # carries every in-flight packet).
+        seed_packets: dict[int, list[Packet]] = {}
+        for i in range(pool.num_workers):
+            seed_packets.update(pool.recv(i, sup.timeout))
+        sup.pool_started()
         for r in range(engine.graph.num_partitions):
             for pkt in seed_packets.get(r, ()):
                 engine.network.send_packet(pkt)
@@ -1575,24 +1253,32 @@ class PoolRanks:
             # Process-aware coordinator: snapshots and replay execute in
             # the owning worker, the parent keeps the transport snapshots,
             # logs and cost accounting.
-            engine.recovery = ParallelRecoveryManager(engine, sup)
+            engine.recovery = ParallelRecoveryManager(engine, self)
             engine.network.recovery = engine.recovery
-        start_tick = 0 if resume is None else resume.loop["ticks"]
-        sup.note_completed(start_tick)
-        if sup.active and engine.recovery is None:
-            # Supervision images at the start tick when no recovery manager
-            # drives checkpoints (its own epochs ship them otherwise).  On
-            # resume this is safe: there are no recorded simulated
-            # recoveries to align with.  With a transplanted recovery
-            # manager we must NOT re-image — images and worker recovery
-            # snaps have to come from the same epoch — so worker
-            # self-healing resumes at its next checkpoint instead.
-            sup.checkpoint(start_tick)
+
+    def _gather(self, msg: tuple) -> list:
+        """Send one control command to every worker, then collect their
+        replies in worker order."""
+        pool = self.pool
+        for i in range(pool.num_workers):
+            pool.send(i, msg)
+        return [pool.recv(i, self.sup.timeout) for i in range(pool.num_workers)]
 
     def tick(self, t: int, arrivals: list[list[Packet]]) -> list[int]:
         eng = self.engine
-        sup = self.supervisor
-        by_rank, wave_packets = sup.tick(t, arrivals)
+        pool = self.pool
+        directives = self.sup.directives(t, pool.owner)
+        deadline = self.sup.tick_deadline(arrivals)
+        for i in range(pool.num_workers):
+            owned = {r: arrivals[r] for r in pool.owned[i] if arrivals[r]}
+            pool.send_tick(i, t, owned, directives.get(i))
+        by_rank: dict[int, RankTickReport] = {}
+        wave_packets: list[Packet] = []
+        for i in range(pool.num_workers):
+            out_reports, wave = pool.recv(i, deadline)
+            by_rank.update(out_reports)
+            if wave:
+                wave_packets = wave
         reports = [by_rank[r] for r in range(len(by_rank))]
         send = eng.network.send_packet
         for r in eng._rank_order:
@@ -1604,11 +1290,25 @@ class PoolRanks:
             for pkt in reports[r].packets_b:
                 send(pkt)
         self.reports = reports
-        # Tick t's barrier is complete: a worker failure from here on
-        # (including during this tick's checkpoints) replays *through* t.
-        sup.note_completed(t)
-        sup.maybe_checkpoint(t)
         return [rep.controls for rep in reports]
+
+    def checkpoint(self) -> list[int]:
+        """Every worker snapshots its ranks; simulated bytes by rank."""
+        sizes: dict[int, int] = {}
+        for part in self._gather(("checkpoint",)):
+            sizes.update(part)
+        return [sizes[r] for r in range(self.engine.graph.num_partitions)]
+
+    def replay(
+        self, r: int, epoch_tick: int, crash_tick: int, log: dict[int, list[Packet]]
+    ) -> tuple[list[list[Packet]], tuple, tuple, int, int]:
+        """Simulated rank-crash recovery of rank ``r`` in its owner."""
+        i = self.pool.owner[r]
+        deadline = None
+        if self.sup.timeout is not None:
+            deadline = self.sup.timeout * max(1, crash_tick - epoch_tick)
+        self.pool.send(i, ("replay", r, epoch_tick, crash_tick, log))
+        return self.pool.recv(i, deadline)
 
     def gather_counters(self, cur: np.ndarray) -> None:
         for r, rep in enumerate(self.reports):
@@ -1665,17 +1365,32 @@ class PoolRanks:
         return [rep.queue_len for rep in self.reports]
 
     def durable_sections(self) -> list[bytes]:
-        return self.supervisor.durable_capture()
+        """Every rank's packed epoch section
+        (:func:`~repro.runtime.rank_image.pack`), packed by its owner so
+        the workers pickle their ranks in parallel.  Runs at the same
+        barrier position as the sequential collection, so the captured
+        state is bit-identical to a ``workers=1`` epoch."""
+        sections: dict[int, bytes] = {}
+        for part in self._gather(("durable",)):
+            sections.update(part)
+        return [sections[r] for r in range(self.engine.graph.num_partitions)]
 
     def final(self) -> tuple[list, int | None, list]:
         """Final counters, wave count and states from the finalize
         barrier: array states are read zero-copy from the shared arenas,
         object states are pickled back once."""
-        counters, states, waves = self.supervisor.finalize()
+        ship = self.pool.ship_states
+        counters: dict[int, object] = {}
+        states: dict[int, object] = {}
+        waves: int | None = None
+        for part_c, part_s, part_w in self._gather(("finalize", ship)):
+            counters.update(part_c)
+            states.update(part_s)
+            if part_w is not None:
+                waves = part_w
         eng = self.engine
-        eng.ipc_counters = self.pool.ipc_counters()
         ranks = range(eng.graph.num_partitions)
-        if not self.pool.ship_states:
+        if not ship:
             states = {r: eng.ranks[r].states for r in ranks}
         return [counters[r] for r in ranks], waves, [states[r] for r in ranks]
 
@@ -1692,14 +1407,3 @@ class PoolRanks:
             for rep in self.reports
         ]
         return counters, None, None
-
-    def fold_stats(self, stats: TraversalStats) -> None:
-        """Surface the supervisor's own activity (excluded from the chaos
-        bit-identity contract via ``SUPERVISION_STATS_FIELDS``)."""
-        sup = self.supervisor
-        stats.worker_crashes = sup.worker_crashes
-        stats.worker_hangs = sup.worker_hangs
-        stats.worker_respawns = sup.worker_respawns
-        stats.worker_replayed_ticks = sup.worker_replayed_ticks
-        stats.degraded_ranks = sup.degraded_ranks
-        stats.supervision_us = sup.supervision_us

@@ -1,7 +1,7 @@
 """One rank image: the restartable state of one rank (INTERNALS §8, §12, §13).
 
-Crash-recovery epochs (:mod:`repro.runtime.recovery`), worker supervision
-images (:mod:`repro.runtime.parallel`) and durable epoch sections
+Crash-recovery epochs (:mod:`repro.runtime.recovery`) and the epoch
+sections that durable epochs and worker supervision share
 (:mod:`repro.runtime.durability`) all capture and reinstall a rank here,
 so the key set and the restore order are written once.  An image is a
 plain dict of per-class ``snapshot_state`` results, taken at a post-flush
@@ -95,7 +95,7 @@ def pack(engine: "SimulationEngine", r: int, recovery: dict | None) -> bytes:
     ``recovery``, the recovery-scope image of its last crash-recovery
     epoch (``None`` without one).  Under ``workers > 1`` each worker packs
     its own ranks, so a rank's state is pickled once, by its owner, and
-    the parent stores bytes."""
+    the parent keeps bytes."""
     return pickle.dumps(
         (capture(engine, r, full=True), recovery),
         protocol=pickle.HIGHEST_PROTOCOL,

@@ -141,16 +141,16 @@ class TraversalStats:
     worker_crashes: int = 0
     #: The subset classified as hangs (barrier deadline, force-killed).
     worker_hangs: int = 0
-    #: Replacement workers successfully respawned and rejoined.
+    #: Successful pool re-forks after a rollback to the last epoch.
     worker_respawns: int = 0
-    #: Logical ticks re-executed by respawned workers catching up from the
-    #: supervision epoch images (host-side work, simulation-invisible).
+    #: Logical ticks re-executed after rollbacks, each failed tick
+    #: included (host-side work, simulation-invisible).
     worker_replayed_ticks: int = 0
-    #: Ranks the parent absorbed into its own tick loop after the restart
-    #: budget ran out (graceful degradation).
+    #: ``p`` once the run has fallen back to the in-process executor
+    #: after a restart budget ran out (graceful degradation), else 0.
     degraded_ranks: int = 0
-    #: Supervision cost priced through the machine model (restarts,
-    #: image restores, replayed compute).  Deliberately *not* added to
+    #: Supervision cost priced through the machine model (per rollback:
+    #: restart, the epoch's image bytes, the compute re-executed).  Deliberately *not* added to
     #: ``time_us``: the simulated cluster never failed, only the host
     #: processes did, so the simulated clock stays bit-identical to the
     #: unfailed run and this field carries the what-if price tag.
@@ -297,8 +297,8 @@ class TraversalStats:
         if self.worker_crashes or self.degraded_ranks:
             line += (
                 f" | supervision: {self.worker_crashes} worker failures "
-                f"({self.worker_hangs} hung), {self.worker_respawns} respawns, "
-                f"{self.worker_replayed_ticks} ticks replayed, "
+                f"({self.worker_hangs} hung), {self.worker_respawns} re-forks, "
+                f"{self.worker_replayed_ticks} ticks re-executed, "
                 f"{self.degraded_ranks} ranks degraded"
             )
         if self.durable_checkpoints or self.durable_resumes:

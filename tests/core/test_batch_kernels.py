@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from repro.algorithms.kcore import KCoreState, KCoreStateArrays, make_kcore_visitor
+from repro.algorithms.kcore import KCoreState, KCoreStateArrays, KCoreVisitor
 from repro.algorithms.pagerank import PageRankStateArrays
 from repro.core.batch import VisitorBatch, occurrence_counts
 from repro.graph.csr import CSR
@@ -97,7 +97,7 @@ def _kcore_sequential(k, kcores, idx):
     """Reference: the object path's counting pre_visit, one arrival at a
     time, against scalar KCoreState blocks."""
     states = [KCoreState(c) for c in kcores]
-    visitor = make_kcore_visitor(k)(0)
+    visitor = KCoreVisitor(0, k)
     return [visitor.pre_visit(states[i]) for i in idx], states
 
 

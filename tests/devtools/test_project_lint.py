@@ -182,19 +182,26 @@ def test_seeded_mutation_deleted_restore_attr_fires(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# RPR006 on the real k-core escape hatch
+# RPR006 on the real k-core module
 # --------------------------------------------------------------------- #
-def test_kcore_escape_hatch_clean_and_seeded_mutation_fires(tmp_path):
+def test_kcore_clean_and_seeded_local_visitor_fires(tmp_path):
     src = (REPO_SRC / "algorithms" / "kcore.py").read_text()
     (tmp_path / "kcore.py").write_text(src)
     assert lint_tree(tmp_path).violations == []
 
-    needle = "globals()[KCoreVisitor.__name__] = KCoreVisitor"
-    assert needle in src
-    (tmp_path / "kcore.py").write_text(src.replace(needle, "pass"))
+    seeded = src + textwrap.dedent("""\
+
+
+        def make_kcore_visitor(k):
+            class LocalKCoreVisitor(Visitor):
+                __slots__ = ()
+
+            return LocalKCoreVisitor
+        """)
+    (tmp_path / "kcore.py").write_text(seeded)
     result = lint_tree(tmp_path)
     assert [v.rule for v in result.violations] == ["RPR006"]
-    assert "KCoreVisitor" in result.violations[0].message
+    assert "LocalKCoreVisitor" in result.violations[0].message
 
 
 # --------------------------------------------------------------------- #

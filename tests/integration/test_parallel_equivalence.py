@@ -234,9 +234,10 @@ def test_object_visitors_cross_as_frames(graph):
 
 
 def test_respawned_worker_keeps_serving_frames(graph):
-    """A SIGKILLed worker's replacement gets the failed tick resent as
-    frames and serves the rest of the run over them, bit-identically
-    (modulo the supervisor's own activity counters)."""
+    """After a SIGKILLed worker, the pool re-forked from the rolled-back
+    epoch re-executes the lost ticks and serves the rest of the run as
+    frames, bit-identically (modulo the supervisor's own activity
+    counters)."""
     from repro.comm.faults import WorkerFaultPlan
     from repro.runtime.trace import SUPERVISION_STATS_FIELDS
 

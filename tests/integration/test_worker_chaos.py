@@ -1,19 +1,20 @@
-"""Worker-chaos matrix: the self-healing pool vs the unfailed sequential run.
+"""Worker-chaos matrix: the supervised pool vs the unfailed sequential run.
 
 The supervision layer's contract is the parallel executor's bit-identity
 contract, kept *through host-process failures*: for every injected worker
 fault (SIGKILL on command receipt, hang past the barrier deadline,
 hard-exit mid-phase-A, restart-budget exhaustion, fork failure), the run
-must complete and produce results, every ``TraversalStats`` counter
-(wire-level transport stats and the float simulated clock included) and
-per-tick order digests bit-identical to an unfailed ``workers=1`` run —
-the only fields allowed to differ are the supervisor's own
-(:data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS`).
+rolls back to its last epoch, completes, and produces results, every
+``TraversalStats`` counter (wire-level transport stats and the float
+simulated clock included) and per-tick order digests bit-identical to an
+unfailed ``workers=1`` run — the only fields allowed to differ are the
+supervisor's own (:data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS`).
 
-The composition cells are the hard part: worker kills layered over
-*simulated* rank-crash recovery (the supervisor must re-run recorded
-replays so counter residue reproduces), over memory pressure
-(backpressure + queue spill), and under the race detector.
+The composition cells layer worker kills over *simulated* rank-crash
+recovery (the epoch carries the recovery manager's state, so a
+re-executed simulated crash replays and leaves the same counter residue),
+over memory pressure (backpressure + queue spill), and under the race
+detector.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def test_chaos_cell(algorithm, scenario, graph, sequential):
 
 
 def test_object_path_heals(graph):
-    """Object visitors' state blocks are pickled back at finalize; a
-    respawned worker must ship the restored-and-replayed copies."""
+    """Object visitors' state blocks are pickled back at finalize; the
+    re-forked pool must ship the rolled-back and re-executed copies."""
     seq = bfs(graph, 0, batch=False)
     par = bfs(graph, 0, batch=False, workers=WORKERS,
               worker_faults=WorkerFaultPlan.from_spec("seed=7,kill=4:2"),
@@ -141,8 +142,8 @@ def test_object_path_heals(graph):
 
 
 def test_degraded_rank0_owner_keeps_wave(graph, sequential):
-    """Absorbing rank 0's owner moves termination-wave duty to the parent;
-    wave counts and detector behaviour must not change."""
+    """Degrading on rank 0's owner moves termination-wave duty to the
+    parent; wave counts and detector behaviour must not change."""
     par = bfs(graph, 0, batch=True, workers=WORKERS,
               worker_faults=WorkerFaultPlan.from_spec("seed=7,kill=3:0"),
               worker_restarts=0)
@@ -168,9 +169,9 @@ def test_multiple_failures_one_run(graph, sequential):
 # --------------------------------------------------------------------- #
 def test_worker_kill_composes_with_simulated_crash_recovery(graph):
     """A worker dies *between* a simulated rank-crash recovery and the
-    next checkpoint epoch: the supervisor must re-run the recorded replay
-    during restore, or the recovery's counter residue is lost and the
-    parent's per-tick deltas go negative."""
+    next checkpoint epoch: the rollback re-executes the simulated crash
+    and its replay, so the recovery's counter residue lands again and the
+    parent's per-tick deltas stay exact."""
     crash = FaultPlan(seed=11, drop_rate=0.01,
                       crashes=(CrashEvent(tick=4, rank=1),))
     kw = dict(batch=True, faults=crash, checkpoint_interval=8)
@@ -200,8 +201,9 @@ def test_worker_kill_on_simulated_crash_tick(graph):
 
 
 def test_worker_kill_composes_with_degraded_crash_recovery(graph):
-    """Same composition, degradation flavour: the parent itself re-runs
-    the recorded simulated replay when absorbing the ranks."""
+    """Same composition, degradation flavour: the run continues
+    in-process from the epoch, where a plain recovery manager re-executes
+    the simulated crash and its replay."""
     crash = FaultPlan(seed=11, drop_rate=0.01,
                       crashes=(CrashEvent(tick=4, rank=1),))
     kw = dict(batch=True, faults=crash, checkpoint_interval=8)
@@ -231,10 +233,10 @@ def test_worker_kill_composes_with_memory_pressure(graph):
 def test_worker_kill_composes_with_storage_faults(graph, batch, restarts):
     """Storage faults on NVRAM page caches: full-scope rank images carry
     the fault injector's RNG stream, whose position depends only on the
-    miss count, so a respawned worker (or the parent absorbing its ranks)
-    draws the same retries, spikes and torn pages.  This graph's page
-    misses all land in ticks 1-4, so the kill replays tick 3 from the
-    tick-2 epoch, where a stale stream would draw different faults."""
+    miss count, so the rolled-back run (re-forked or in-process) draws
+    the same retries, spikes and torn pages.  This graph's page misses all
+    land in ticks 1-4, so the kill re-executes them from the start epoch,
+    where a stale stream would draw different faults."""
     kw = dict(
         batch=batch,
         machine=hyperion_dit("nvram", cache_bytes_per_rank=1024, page_size=256),
