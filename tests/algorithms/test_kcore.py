@@ -1,12 +1,15 @@
 """Tests for asynchronous K-Core decomposition (Algorithms 4 and 5)."""
 
+import multiprocessing
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms.kcore import KCoreAlgorithm, kcore
+from repro.algorithms.kcore import KCoreAlgorithm, KCoreState, KCoreVisitor, kcore
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
 from repro.reference.kcore import kcore_members
@@ -92,6 +95,80 @@ class TestAgainstReference:
                 [core.get(v, 0) >= k for v in range(rmat_small.num_vertices)]
             )
             assert np.array_equal(got, expected)
+
+
+class _Context:
+    """The two :class:`~repro.core.visitor.VisitContext` calls a k-core
+    visitor makes: its vertex's out-edges and a push."""
+
+    def __init__(self, edges):
+        self.edges = edges
+        self.pushed = []
+
+    def out_edges(self, v):
+        return self.edges[v]
+
+    def push(self, visitor):
+        self.pushed.append(visitor)
+
+
+class TestKCoreVisitor:
+    """One module-level visitor class carries ``k`` in a slot (Alg. 5's
+    class-static ``kcore_visitor::k``)."""
+
+    def test_one_class_for_every_k(self, triangle_graph):
+        g = DistributedGraph.build(triangle_graph, 2)
+        seeds = {
+            k: list(KCoreAlgorithm(k).initial_visitors(g, 0)) for k in (2, 5)
+        }
+        for k, visitors in seeds.items():
+            assert visitors
+            assert all(type(v) is KCoreVisitor and v.k == k for v in visitors)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_pickles_by_name(self, k):
+        blob = pickle.dumps(KCoreVisitor(11, k))
+        assert b"KCoreVisitor" in blob
+        back = pickle.loads(blob)
+        assert type(back) is KCoreVisitor
+        assert (back.vertex, back.k) == (11, k)
+
+    def test_pre_visit_peels_below_k(self):
+        state = KCoreState(4)
+        visitor = KCoreVisitor(0, 3)
+        assert visitor.pre_visit(state) is False  # 4 -> 3, still >= k
+        assert (state.alive, state.kcore) == (True, 3)
+        assert visitor.pre_visit(state) is True  # 3 -> 2 < k: peeled
+        assert (state.alive, state.kcore) == (False, 2)
+        assert visitor.pre_visit(state) is False  # dead: ignored
+        assert state.kcore == 2
+
+    def test_visit_notifies_neighbours_with_its_k(self):
+        ctx = _Context({5: [1, 2, 9]})
+        KCoreVisitor(5, 4).visit(ctx)
+        assert [(type(v), v.vertex, v.k) for v in ctx.pushed] == [
+            (KCoreVisitor, 1, 4), (KCoreVisitor, 2, 4), (KCoreVisitor, 9, 4)
+        ]
+
+    def test_object_path_alternating_k_in_one_process(self, rmat_small):
+        """No per-k state leaks between runs sharing the one class."""
+        g = DistributedGraph.build(rmat_small, 4)
+        for k in (2, 4, 2, 3):
+            got = kcore(g, k, batch=False).data.alive
+            assert np.array_equal(got, kcore_members(rmat_small, k)), f"k={k}"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="parallel executor requires the fork start method",
+    )
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_object_visitors_cross_worker_pipes(self, rmat_small, k):
+        g = DistributedGraph.build(rmat_small, 4)
+        seq = kcore(g, k, batch=False)
+        par = kcore(g, k, batch=False, workers=2)
+        assert np.array_equal(seq.data.alive, par.data.alive)
+        assert np.array_equal(par.data.alive, kcore_members(rmat_small, k))
+        assert seq.stats.total_visits == par.stats.total_visits
 
 
 class TestValidation:

@@ -16,6 +16,10 @@ the same worker count instead, including ``durable_disk_bytes``, and pins
 what a rollback must rewind besides the engine: a re-executed durable
 tick writes, damages and verifies its epoch exactly as it did the first
 time, so the durable directory ends byte-identical.
+
+The same heal points with the restart budget spent continue in-process
+from the epoch (the graceful degradation), and without supervision they
+end in the post-mortem :class:`~repro.errors.TraversalError`.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.bench.harness import build_rmat_graph
 from repro.comm.faults import CrashEvent, FaultPlan, WorkerFaultPlan
-from repro.errors import WorkerCrash
+from repro.errors import TraversalError, WorkerCrash
 from repro.runtime.durability import DurableFaultPlan
-from repro.runtime.parallel import WorkerPool
+from repro.runtime.parallel import SUPERVISION_EPOCH_TICKS, WorkerPool, WorkerSupervisor
 from repro.runtime.trace import SUPERVISION_STATS_FIELDS
 
 try:
@@ -114,12 +118,18 @@ HEAL_POINTS = {
 }
 
 
-@pytest.mark.parametrize("point", ["tick", *HEAL_POINTS])
-def test_failure_at_each_heal_point_rolls_back(point, graph, tmp_path, monkeypatch):
+def _heal_point_kwargs() -> dict:
+    """A run that reaches every heal point: a simulated rank crash (so
+    checkpoints and a replay), durable epochs and digests."""
     crash = FaultPlan(seed=11, drop_rate=0.01,
                       crashes=(CrashEvent(tick=6, rank=TARGET),))
-    kw = dict(batch=True, faults=crash, checkpoint_interval=4,
-              durable_interval=2, record_digests=True)
+    return dict(batch=True, faults=crash, checkpoint_interval=4,
+                durable_interval=2, record_digests=True)
+
+
+@pytest.mark.parametrize("point", ["tick", *HEAL_POINTS])
+def test_failure_at_each_heal_point_rolls_back(point, graph, tmp_path, monkeypatch):
+    kw = _heal_point_kwargs()
     seq = bfs(graph, 0, durable_dir=str(tmp_path / "seq"), **kw)
     assert seq.stats.recoveries == 1 and seq.stats.durable_checkpoints >= 2
     if point == "tick":
@@ -138,6 +148,72 @@ def test_failure_at_each_heal_point_rolls_back(point, graph, tmp_path, monkeypat
     assert s.degraded_ranks == 0
     assert s.worker_replayed_ticks >= 1
     _assert_healed(seq, par, disk_bytes=False)
+
+
+@pytest.mark.parametrize("point", ["tick", *HEAL_POINTS])
+def test_spent_budget_continues_in_process(point, graph, tmp_path, monkeypatch):
+    """``worker_restarts=0`` with a fault plan: the first failure installs
+    the epoch and finishes on the in-process executor, no re-fork."""
+    kw = _heal_point_kwargs()
+    seq = bfs(graph, 0, durable_dir=str(tmp_path / "seq"), **kw)
+    if point == "tick":
+        injected = None
+        worker_faults = WorkerFaultPlan.from_spec(f"seed=7,kill=5:{TARGET}")
+    else:
+        injected = _fail_once(monkeypatch, *HEAL_POINTS[point])
+        worker_faults = WorkerFaultPlan(seed=7)
+    par = bfs(graph, 0, durable_dir=str(tmp_path / "par"), workers=WORKERS,
+              worker_restarts=0, worker_faults=worker_faults, **kw)
+    if injected is not None:
+        assert injected["fired"], f"no {point} reply was failed"
+    s = par.stats
+    assert s.worker_crashes == 1
+    assert s.worker_respawns == 0
+    assert s.degraded_ranks == graph.num_partitions
+    assert s.worker_replayed_ticks >= 1
+    _assert_healed(seq, par, disk_bytes=False)
+
+
+@pytest.mark.parametrize("point", sorted(HEAL_POINTS))
+def test_unsupervised_failure_is_a_post_mortem(point, graph, tmp_path, monkeypatch):
+    """No restart budget and no fault plan: a failure at any heal point
+    fails the run with the partial stats attached."""
+    injected = _fail_once(monkeypatch, *HEAL_POINTS[point])
+    with pytest.raises(TraversalError, match="parallel worker failed") as info:
+        bfs(graph, 0, durable_dir=str(tmp_path / "par"), workers=WORKERS,
+            **_heal_point_kwargs())
+    assert injected["fired"], f"no {point} reply was failed"
+    assert isinstance(info.value.__cause__, WorkerCrash)
+    assert info.value.stats is not None
+    assert info.value.stats.ticks >= 1
+
+
+def _kept_epoch_ticks(monkeypatch) -> list[int]:
+    """Record the tick of every epoch the supervisor keeps."""
+    ticks: list[int] = []
+    keep = WorkerSupervisor.keep_epoch
+
+    def recording_keep(self, tick, blobs, stats):
+        ticks.append(tick)
+        keep(self, tick, blobs, stats)
+
+    monkeypatch.setattr(WorkerSupervisor, "keep_epoch", recording_keep)
+    return ticks
+
+
+def test_armed_supervisor_keeps_epochs_on_its_cadence(graph, monkeypatch):
+    kept = _kept_epoch_ticks(monkeypatch)
+    res = pagerank(graph, batch=True, workers=WORKERS, worker_restarts=1)
+    assert res.stats.ticks > 2 * SUPERVISION_EPOCH_TICKS
+    assert kept == list(range(0, res.stats.ticks + 1, SUPERVISION_EPOCH_TICKS))
+    assert res.stats.worker_crashes == 0 and res.stats.worker_replayed_ticks == 0
+
+
+def test_unarmed_supervisor_keeps_no_epoch(graph, monkeypatch):
+    kept = _kept_epoch_ticks(monkeypatch)
+    res = pagerank(graph, batch=True, workers=WORKERS)
+    assert res.stats.ticks > 2 * SUPERVISION_EPOCH_TICKS
+    assert kept == []
 
 
 def _dir_bytes(path) -> dict[str, bytes]:
