@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import resolve_rng
+from repro.utils.spec import events, parse_spec
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,6 @@ class CrashEvent:
             raise ConfigurationError(
                 f"down_rounds must be >= 1, got {self.down_rounds}"
             )
-
-
-def _spec_items(spec: str, what: str):
-    """``(key, value)`` pairs of a comma-separated ``key=value`` spec."""
-    for item in filter(None, (s.strip() for s in spec.split(","))):
-        if "=" not in item:
-            raise ConfigurationError(f"{what} spec item {item!r} is not key=value")
-        key, _, value = item.partition("=")
-        yield key.strip().lower(), value
-
-
-def _event_fields(ev: str, what: str, form: str, arities: tuple) -> list[int]:
-    """The integer fields of one ``form``-shaped ``a:b[:c]`` event."""
-    parts = ev.split(":")
-    if len(parts) not in arities:
-        raise ConfigurationError(f"{what} event {ev!r} is not {form}")
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise ConfigurationError(f"{what} event {ev!r} has non-integer fields") from None
 
 
 @dataclass(frozen=True)
@@ -122,35 +103,15 @@ class FaultPlan:
         ``crash`` takes ``tick:rank[:down_rounds]`` and may be repeated by
         joining events with ``+`` (``crash=40:2+90:1:8``).
         """
-        kwargs: dict = {}
-        crashes: list[CrashEvent] = []
-        aliases = {
+        return cls(**parse_spec(spec, "fault", {
             "seed": ("seed", int),
             "drop": ("drop_rate", float),
             "dup": ("duplicate_rate", float),
             "delay": ("delay_rate", float),
             "maxdelay": ("max_delay", int),
-        }
-        for key, value in _spec_items(spec, "fault"):
-            if key == "crash":
-                crashes.extend(
-                    CrashEvent(*_event_fields(ev, "crash", "tick:rank[:down_rounds]", (2, 3)))
-                    for ev in value.split("+")
-                )
-            elif key in aliases:
-                name, conv = aliases[key]
-                try:
-                    kwargs[name] = conv(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"fault spec {key}={value!r} is not a {conv.__name__}"
-                    ) from None
-            else:
-                raise ConfigurationError(
-                    f"unknown fault spec key {key!r} "
-                    f"(known: {', '.join(sorted(aliases))}, crash)"
-                )
-        return cls(crashes=tuple(crashes), **kwargs)
+            "crash": ("crashes", events(
+                CrashEvent, "crash", "tick:rank[:down_rounds]", (2, 3))),
+        }))
 
 
 #: Worker-fault kinds understood by the supervisor / worker protocol.
@@ -242,28 +203,15 @@ class WorkerFaultPlan:
         repeated by joining events with ``+`` (``kill=4:1+9:3``);
         ``forkfail=N`` fails the first N re-forks.
         """
-        kwargs: dict = {}
-        events: list[WorkerFaultEvent] = []
-        for key, value in _spec_items(spec, "worker fault"):
-            if key in WORKER_FAULT_KINDS:
-                events.extend(
-                    WorkerFaultEvent(*_event_fields(ev, "worker fault", "tick:rank", (2,)), key)
-                    for ev in value.split("+")
-                )
-            elif key in ("seed", "forkfail"):
-                name = "seed" if key == "seed" else "fork_failures"
-                try:
-                    kwargs[name] = int(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"worker fault spec {key}={value!r} is not an int"
-                    ) from None
-            else:
-                raise ConfigurationError(
-                    f"unknown worker fault spec key {key!r} (known: "
-                    f"{', '.join(WORKER_FAULT_KINDS)}, seed, forkfail)"
-                )
-        return cls(events=tuple(events), **kwargs)
+        fields = {
+            kind: ("events", events(
+                lambda tick, rank, kind=kind: WorkerFaultEvent(tick, rank, kind),
+                "worker fault", "tick:rank", (2,)))
+            for kind in WORKER_FAULT_KINDS
+        }
+        fields["seed"] = ("seed", int)
+        fields["forkfail"] = ("fork_failures", int)
+        return cls(**parse_spec(spec, "worker fault", fields))
 
 
 @dataclass

@@ -89,3 +89,10 @@ class Packet:
                 total += e.count * (e.size_bytes + ENVELOPE_HEADER_BYTES)
             self._cached_wire_bytes = total
         return self._cached_wire_bytes
+
+    def __getstate__(self):
+        """Pickle with the wire-size memo filled, so a packet's bytes do
+        not depend on whether anything asked for its size yet (packets
+        decoded from barrier frames have not; in-process ones have)."""
+        _ = self.wire_bytes
+        return object.__getstate__(self)

@@ -89,3 +89,29 @@ class Network:
         self._sent_this_tick = list(snap["sent"])
         self.total_packets = snap["total_packets"]
         self.total_bytes = snap["total_bytes"]
+
+
+class PacketRecorder:
+    """Packet recorder standing in for the fabric in a rank's mailbox.
+
+    The fabric — sequence stamping, fault injection, delivery scheduling —
+    belongs to the process that owns the network, so ranks run elsewhere
+    (forked workers) or re-executed in isolation (crash replay) send into
+    this collector instead; :meth:`take` cuts the emission-ordered stream
+    into the buckets their owner replays into the fabric unchanged.  It
+    takes packet trains exactly when that fabric does.
+    """
+
+    __slots__ = ("_packets", "packet_trains")
+
+    def __init__(self, fabric) -> None:
+        self._packets: list[Packet] = []
+        self.packet_trains = fabric.packet_trains
+
+    def send_packet(self, packet: Packet) -> None:
+        self._packets.append(packet)
+
+    def take(self) -> list[Packet]:
+        out = self._packets
+        self._packets = []
+        return out

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import spawn_rngs
+from repro.utils.spec import parse_spec
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class StorageFaultPlan:
 
             seed=7,readerr=0.05,spike=0.02,spikeus=800,torn=0.01,slow=4,retries=3,backoff=50
         """
-        aliases = {
+        return cls(**parse_spec(spec, "storage fault", {
             "seed": ("seed", int),
             "readerr": ("read_error_rate", float),
             "spike": ("spike_rate", float),
@@ -97,28 +98,7 @@ class StorageFaultPlan:
             "slow": ("bandwidth_degradation", float),
             "retries": ("max_retries", int),
             "backoff": ("retry_backoff_us", float),
-        }
-        kwargs: dict = {}
-        for item in filter(None, (s.strip() for s in spec.split(","))):
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"storage fault spec item {item!r} is not key=value"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip().lower()
-            if key not in aliases:
-                raise ConfigurationError(
-                    f"unknown storage fault spec key {key!r} "
-                    f"(known: {', '.join(sorted(aliases))})"
-                )
-            name, conv = aliases[key]
-            try:
-                kwargs[name] = conv(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"storage fault spec {key}={value!r} is not a {conv.__name__}"
-                ) from None
-        return cls(**kwargs)
+        }))
 
 
 @dataclass

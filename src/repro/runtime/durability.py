@@ -58,6 +58,7 @@ import numpy as np
 from repro.errors import CheckpointCorruptionError, ConfigurationError
 from repro.runtime import rank_image
 from repro.utils.rng import resolve_rng
+from repro.utils.spec import parse_spec, plus_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import SimulationEngine
@@ -222,35 +223,10 @@ class DurableFaultPlan:
 
             seed=7,torn=32,bitflip=16+48,manifest=64,missing=80
         """
-        kwargs: dict = {}
-        modes = ("torn", "bitflip", "manifest", "missing")
-        for item in filter(None, (s.strip() for s in spec.split(","))):
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"durable fault spec item {item!r} is not key=value"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip().lower()
-            if key == "seed":
-                try:
-                    kwargs["seed"] = int(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"durable fault seed {value!r} is not an int"
-                    ) from None
-            elif key in modes:
-                try:
-                    kwargs[key] = tuple(int(x) for x in value.split("+"))
-                except ValueError:
-                    raise ConfigurationError(
-                        f"durable fault {key}={value!r} is not '+'-joined ints"
-                    ) from None
-            else:
-                raise ConfigurationError(
-                    f"unknown durable fault spec key {key!r} "
-                    f"(known: {', '.join(modes)}, seed)"
-                )
-        return cls(**kwargs)
+        fields = {mode: (mode, plus_ints)
+                  for mode in ("torn", "bitflip", "manifest", "missing")}
+        fields["seed"] = ("seed", int)
+        return cls(**parse_spec(spec, "durable fault", fields))
 
 
 # ---------------------------------------------------------------------- #
@@ -259,18 +235,12 @@ class DurableFaultPlan:
 @dataclass
 class ResumeState:
     """What :meth:`DurabilityManager.load_latest` hands back to the engine
-    after restoring rank/network/RNG/digest state in place: the loop
-    variables, the restored stats object, and the in-memory recovery
-    epoch's parent-side remainder for the engine to transplant."""
+    after restoring rank/network/RNG/digest/recovery state in place: the
+    loop variables and the restored stats object."""
 
     tick: int
     loop: dict
     stats: "TraversalStats"
-    #: recovery section ({"epoch_tick", "state_bytes", "log", "transport",
-    #: counter fields}) or None when the run had no recovery manager.
-    recovery: dict | None
-    #: per-rank recovery-scope images of the recovery epoch (or None).
-    rank_recovery_snaps: list
 
 
 # ---------------------------------------------------------------------- #
@@ -681,7 +651,11 @@ def capture_epoch(
             ),
         }),
         ("digests", digests),
-        ("recovery", _recovery_section(engine)),
+        ("recovery", (
+            engine.recovery.snapshot_state()
+            if engine.recovery is not None
+            else None
+        )),
     ]
     # Highest protocol (5): framed numpy buffers serialize without the
     # protocol-4 bytes-object copy.
@@ -689,25 +663,6 @@ def capture_epoch(
         (name, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
         for name, obj in sections
     ]
-
-
-def _recovery_section(engine: "SimulationEngine") -> dict | None:
-    """Parent-side remainder of the in-memory recovery epoch: the
-    transport channel snapshots, delivery logs and counters.  The
-    recovery-scope rank images ride each rank's section."""
-    rec = engine.recovery
-    if rec is None:
-        return None
-    p = engine.graph.num_partitions
-    return {
-        "epoch_tick": rec.epoch_tick,
-        "state_bytes": list(rec._state_bytes),
-        "log": [dict(rec._log[r]) for r in range(p)],
-        "transport": list(rec._transport),
-        "checkpoints_taken": rec.checkpoints_taken,
-        "checkpoint_bytes": rec.checkpoint_bytes,
-        "recoveries": rec.recoveries,
-    }
 
 
 def unpickle_epoch(blobs: dict[str, bytes]) -> dict:
@@ -719,13 +674,16 @@ def unpickle_epoch(blobs: dict[str, bytes]) -> dict:
 
 def install_epoch(engine: "SimulationEngine", tick: int, payload: dict) -> ResumeState:
     """Reinstall an unpickled epoch into the live engine in place: every
-    rank's full image, the network, RNG streams and digests.  The loop
-    variables, stats and recovery epoch go back to the engine in the
-    returned :class:`ResumeState`."""
-    rank_sections = payload["ranks"]
-    for r, (image, _) in enumerate(rank_sections):
+    rank's full image and recovery image, the network, the recovery
+    manager's epoch, RNG streams and digests — before any pool forks, so
+    workers inherit it.  The loop variables and stats go back to the
+    engine in the returned :class:`ResumeState`."""
+    for r, (image, recovery_image) in enumerate(payload["ranks"]):
         rank_image.restore(engine, r, image)
+        engine.recovery_images[r] = recovery_image
     engine.network.restore_full(payload["network"])
+    if engine.recovery is not None and payload["recovery"] is not None:
+        engine.recovery.restore_state(payload["recovery"])
     straggler_snap = payload["rng"]["straggler"]
     if straggler_snap is not None and engine.straggler is not None:
         engine.straggler.restore_state(straggler_snap)
@@ -734,10 +692,4 @@ def install_epoch(engine: "SimulationEngine", tick: int, payload: dict) -> Resum
         engine.tick_digests = list(digests["tick_digests"])
         engine.tick_rank_digests = list(digests["tick_rank_digests"])
         engine._digest_prev = np.array(digests["digest_prev"], dtype=np.int64)
-    return ResumeState(
-        tick=tick,
-        loop=payload["loop"],
-        stats=payload["stats"],
-        recovery=payload["recovery"],
-        rank_recovery_snaps=[recovery for _, recovery in rank_sections],
-    )
+    return ResumeState(tick=tick, loop=payload["loop"], stats=payload["stats"])

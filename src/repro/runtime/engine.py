@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.comm.mailbox import Mailbox
 from repro.comm.message import KIND_CONTROL, KIND_VISITOR
-from repro.comm.network import Network
+from repro.comm.network import Network, PacketRecorder
 from repro.comm.reliable import ReliableTransport
 from repro.comm.routing import Topology, make_topology
 from repro.comm.termination import LocalSnapshot, QuiescenceDetector
@@ -55,7 +55,6 @@ from repro.runtime.costmodel import STORAGE_NVRAM, EngineConfig, MachineModel
 from repro.runtime.durability import DurabilityManager, capture_epoch
 from repro.runtime.parallel import (
     SUPERVISION_EPOCH_TICKS,
-    ParallelRecoveryManager,
     PoolRanks,
     WorkerCrash,
     WorkerPool,
@@ -63,7 +62,12 @@ from repro.runtime.parallel import (
     finalize_ranks,
 )
 from repro.runtime.pressure import StragglerClock
-from repro.runtime.recovery import RecoveryManager, estimate_checkpoint_bytes
+from repro.runtime.recovery import (
+    RecoveryManager,
+    checkpoint_rank,
+    estimate_checkpoint_bytes,
+    replay_rank,
+)
 from repro.runtime.trace import TickSample, TraversalStats
 
 #: Object hooks and the batch twins that replace them on the native path.
@@ -310,11 +314,10 @@ class SimulationEngine:
         if self.reliable_mode and self._checkpoint_every:
             self.recovery = RecoveryManager(self)
             self.network.recovery = self.recovery
-
-        #: Worker-local crash-recovery images re-seeded into workers forked
-        #: from a reinstalled epoch (rank -> recovery-scope rank image);
-        #: empty otherwise — INTERNALS §12, §13.
-        self._resume_recovery_snaps: dict[int, dict] = {}
+        #: Each rank's recovery-scope image of the last crash-recovery
+        #: epoch (``None`` before one), kept by the process that runs the
+        #: rank — INTERNALS §8.
+        self.recovery_images: list[dict | None] = [None] * p
         #: Durable on-disk epoch writer/reader (host-crash recovery);
         #: present only when ``durable_dir`` is configured.
         self.durable: DurabilityManager | None = None
@@ -351,23 +354,8 @@ class SimulationEngine:
         pool otherwise (shut down on exit, whatever the outcome)."""
         sup = self.supervisor
         if sup is None or sup.degraded:
-            if isinstance(self.recovery, ParallelRecoveryManager):
-                # Degraded from a pool: a plain manager, which the resume
-                # transplant fills with the epoch's recovery images.
-                self.recovery = RecoveryManager(self)
-                self.network.recovery = self.recovery
             yield _InProcessRanks(self, resume)
             return
-        # Worker-local crash-recovery snapshot halves, picked up by each
-        # forked worker at startup (same-epoch invariant: they match the
-        # transplanted parent-side recovery state).
-        self._resume_recovery_snaps = {}
-        if resume is not None and resume.recovery is not None:
-            self._resume_recovery_snaps = {
-                r: snap
-                for r, snap in enumerate(resume.rank_recovery_snaps)
-                if snap is not None
-            }
         with WorkerPool(self, seed_ranks=(resume is None)) as pool:
             try:
                 yield PoolRanks(self, pool, sup)
@@ -466,10 +454,9 @@ class SimulationEngine:
 
         if self.recovery is not None:
             stats.fault_seed = cfg.faults.seed if cfg.faults is not None else None
+            self.recovery.ranks = ex
             if resume is None:
                 self.recovery.initial_checkpoint()
-            else:
-                self._apply_resume_recovery(resume)
         elif self.reliable_mode and cfg.faults is not None:
             stats.fault_seed = cfg.faults.seed
 
@@ -638,7 +625,7 @@ class SimulationEngine:
 
                 # ---- epochs --------------------------------------------
                 # Captured after this tick's checkpoints, so the recovery
-                # snaps in the rank sections are current.  A supervision
+                # images in the rank sections are current.  A supervision
                 # epoch due on a durable tick keeps the durable capture.
                 epoch_due = (
                     sup is not None
@@ -690,34 +677,6 @@ class SimulationEngine:
                 f"parallel worker failed after {ticks} ticks: {crash}",
                 stats=stats,
             ) from crash
-
-    def _apply_resume_recovery(self, resume) -> None:
-        """Transplant a resumed epoch's in-memory recovery state (a durable
-        epoch, or the supervisor's after a worker failure).
-
-        Transplanted, never realigned: re-checkpointing at the resume tick
-        would shorten a later simulated crash's replay window and change
-        its ``recovery_us`` — breaking bit-identity with the uninterrupted
-        run.  In-process, each rank's recovery-scope image rides
-        ``resume.rank_recovery_snaps``; under a worker pool those images
-        are re-seeded worker-side via ``_resume_recovery_snaps`` and the
-        parent keeps only the transport snapshots, mirroring
-        :class:`~repro.runtime.parallel.ParallelRecoveryManager`.
-        """
-        rec = self.recovery
-        sec = resume.recovery
-        if rec is None or sec is None:
-            return
-        p = self.graph.num_partitions
-        rec.epoch_tick = sec["epoch_tick"]
-        rec._state_bytes = list(sec["state_bytes"])
-        rec._log = [dict(sec["log"][r]) for r in range(p)]
-        rec.checkpoints_taken = sec["checkpoints_taken"]
-        rec.checkpoint_bytes = sec["checkpoint_bytes"]
-        rec.recoveries = sec["recoveries"]
-        rec._transport = list(sec["transport"])
-        if not isinstance(rec, ParallelRecoveryManager):
-            rec._images = list(resume.rank_recovery_snaps)
 
     def _order_digest_hex(self) -> str | None:
         """Whole-run schedule certificate: blake2b over the concatenated
@@ -894,6 +853,8 @@ class _InProcessRanks:
 
     def __init__(self, engine: SimulationEngine, resume) -> None:
         self.engine = engine
+        #: where a replayed rank's mailbox sends (see :meth:`replay`).
+        self.recorder = PacketRecorder(engine.network)
         if resume is None:
             for r in range(engine.graph.num_partitions):
                 engine._seed_rank(r)
@@ -908,6 +869,23 @@ class _InProcessRanks:
         for r in eng._rank_order:
             eng.mailboxes[r].flush()
         return controls
+
+    def checkpoint(self) -> list[int]:
+        eng = self.engine
+        return [checkpoint_rank(eng, r) for r in range(len(eng.ranks))]
+
+    def replay(
+        self, r: int, epoch_tick: int, crash_tick: int, log: dict[int, list]
+    ) -> tuple[list[list], tuple, tuple, int]:
+        """Rank ``r``'s restore and replay with its mailbox sending into
+        the recorder, as in a worker; the recovery manager forwards the
+        packets to the network tick by tick."""
+        mailbox = self.engine.mailboxes[r]
+        mailbox.network = self.recorder
+        try:
+            return replay_rank(self.engine, self.recorder, r, epoch_tick, crash_tick, log)
+        finally:
+            mailbox.network = self.engine.network
 
     def gather_counters(self, cur: np.ndarray) -> None:
         eng = self.engine
@@ -982,9 +960,7 @@ class _InProcessRanks:
 
     def durable_sections(self) -> list[bytes]:
         eng = self.engine
-        rec = eng.recovery
-        return [rank_image.pack(eng, r, None if rec is None else rec._images[r])
-                for r in range(len(eng.ranks))]
+        return [rank_image.pack(eng, r) for r in range(len(eng.ranks))]
 
     def final(self) -> tuple[list, int | None, list]:
         eng = self.engine

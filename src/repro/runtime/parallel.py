@@ -26,10 +26,11 @@ are where determinism is re-established:
   at finalize.
 
 * **Deterministic merge.**  Workers never talk to the real fabric; their
-  mailboxes are rewired to a :class:`_StubNetwork` that records packets in
-  emission order, bucketed per phase (mid-tick eager flushes, detector
-  wave, end-of-tick flush).  At the barrier the parent replays the buckets
-  into the real :class:`~repro.comm.network.Network` /
+  mailboxes are rewired to a :class:`~repro.comm.network.PacketRecorder`
+  that records packets in emission order, bucketed per phase (mid-tick
+  eager flushes, detector wave, end-of-tick flush).  At the barrier the
+  parent replays the buckets into the real
+  :class:`~repro.comm.network.Network` /
   :class:`~repro.comm.reliable.ReliableTransport` in exactly the
   sequential global send order — for each rank in ``_rank_order``: phase-A
   packets; then the rank-0 wave packets; then for each rank in
@@ -43,14 +44,15 @@ are where determinism is re-established:
   as a small token followed by its packets as SoA frames
   (:mod:`repro.runtime.packet_codec`, one raw pipe message each); the
   per-rank report scalars go into a shared counters table.  Control
-  commands (checkpoint, restore, replay, durable, finalize) stay pickled
-  envelopes.
+  commands (checkpoint, replay, durable, finalize) stay pickled envelopes.
 
-Checkpoints snapshot rank-local state *inside* the owning worker (the
-snapshot never crosses the process boundary; only its simulated byte size
-does), and crash replay re-executes the logged ticks in the owning worker
-while the parent interleaves transport notes and replayed sends per tick —
-see :class:`ParallelRecoveryManager`.
+Simulated rank crashes (:mod:`repro.runtime.recovery`) keep a rank's
+recovery image where the rank runs: the ``checkpoint`` command takes the
+owned ranks' images into the worker's ``engine.recovery_images`` (only the
+simulated byte sizes cross the pipe), and ``replay`` restores and
+re-executes one rank there, returning its per-tick packets for the one
+:class:`~repro.runtime.recovery.RecoveryManager` to interleave with the
+transport's delivery notes.
 
 Worker supervision (INTERNALS §12)
 ----------------------------------
@@ -117,8 +119,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.comm.message import Packet
+from repro.comm.network import PacketRecorder
 from repro.core.batch import SharedArrayBlock, share_state_arrays
-from repro.errors import ConfigurationError, TraversalError, WorkerCrash
+from repro.errors import ConfigurationError, WorkerCrash
 from repro.runtime import rank_image
 from repro.runtime.durability import ResumeState, install_epoch, unpickle_epoch
 from repro.runtime.packet_codec import (
@@ -128,11 +131,10 @@ from repro.runtime.packet_codec import (
     encode_packets,
 )
 from repro.runtime.recovery import (
-    RecoveryManager,
-    counter_snapshot,
+    checkpoint_rank,
     estimate_checkpoint_bytes,
     replay_price_us,
-    replay_ticks,
+    replay_rank,
 )
 from repro.runtime.trace import RankCounters, TraversalStats
 from repro.utils.rng import resolve_rng
@@ -142,7 +144,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "SUPERVISION_EPOCH_TICKS",
-    "ParallelRecoveryManager",
     "PoolRanks",
     "RankTickReport",
     "WorkerCrash",
@@ -159,32 +160,6 @@ _BACKOFF_BASE_S = 0.02
 _BACKOFF_CAP_S = 0.5
 #: Arrival-packet volume one deadline unit is assumed to cover.
 _DEADLINE_PACKETS = 50_000
-
-
-class _StubNetwork:
-    """Packet recorder standing in for the fabric inside a worker.
-
-    Workers must not touch the real network — sequence stamping, fault
-    injection and delivery scheduling are parent-side — so their mailboxes
-    get this collector instead; :meth:`take` cuts the emission-ordered
-    stream into the per-phase buckets the parent's barrier merge replays.
-    The parent replays them into its fabric unchanged, so the stub takes
-    packet trains exactly when that fabric does.
-    """
-
-    __slots__ = ("_packets", "packet_trains")
-
-    def __init__(self, fabric) -> None:
-        self._packets: list[Packet] = []
-        self.packet_trains = fabric.packet_trains
-
-    def send_packet(self, packet: Packet) -> None:
-        self._packets.append(packet)
-
-    def take(self) -> list[Packet]:
-        out = self._packets
-        self._packets = []
-        return out
 
 
 #: The :class:`~repro.runtime.trace.RankCounters` fields a barrier report
@@ -410,17 +385,9 @@ def _worker_main(
     command is a pickled envelope answered by one.
     """
     try:
-        stub = _StubNetwork(engine.network)
+        stub = PacketRecorder(engine.network)
         for r in owned:
             engine.mailboxes[r].network = stub
-        snaps: dict[int, dict] = {}
-        # Resumed epoch: the parent transplanted each rank's recovery
-        # snapshot half before forking; adopt the owned ones so a later
-        # simulated rank-crash replays from the epoch's recovery point.
-        for r in owned:
-            snap = engine._resume_recovery_snaps.get(r)
-            if snap is not None:
-                snaps[r] = dict(snap)
 
         if seed_ranks:
             # Seed the owned ranks (ascending, like the sequential path);
@@ -460,11 +427,11 @@ def _worker_main(
                 continue
             cmd = msg[0]
             if cmd == "checkpoint":
-                _send_obj(conn, ("ok", _worker_checkpoint(engine, owned, snaps)))
+                _send_obj(conn, ("ok", {r: checkpoint_rank(engine, r) for r in owned}))
             elif cmd == "replay":
-                _send_obj(conn, ("ok", _worker_replay(engine, stub, snaps, *msg[1:])))
+                _send_obj(conn, ("ok", replay_rank(engine, stub, *msg[1:])))
             elif cmd == "durable":
-                _send_obj(conn, ("ok", _worker_durable(engine, owned, snaps)))
+                _send_obj(conn, ("ok", {r: rank_image.pack(engine, r) for r in owned}))
             elif cmd == "finalize":
                 _send_obj(conn, ("ok", finalize_ranks(engine, owned, msg[1])))
             elif cmd == "stop":
@@ -482,7 +449,7 @@ def _worker_main(
 
 def _worker_tick(
     engine: "SimulationEngine",
-    stub: _StubNetwork,
+    stub: PacketRecorder,
     owned: list[int],
     arrivals: dict[int, list[Packet]],
     *,
@@ -571,58 +538,6 @@ def _worker_tick(
             ),
         )
     return reports, wave_packets
-
-
-def _worker_checkpoint(
-    engine: "SimulationEngine", owned: list[int], snaps: dict[int, dict]
-) -> dict[int, int]:
-    """Snapshot the owned ranks' restartable state locally; ship only the
-    simulated checkpoint byte sizes."""
-    out: dict[int, int] = {}
-    for r in owned:
-        snaps[r] = rank_image.capture(engine, r, full=False)
-        out[r] = estimate_checkpoint_bytes(engine, r)
-    return out
-
-
-def _worker_replay(
-    engine: "SimulationEngine",
-    stub: _StubNetwork,
-    snaps: dict[int, dict],
-    r: int,
-    epoch_tick: int,
-    crash_tick: int,
-    log: dict[int, list[Packet]],
-) -> tuple[list[list[Packet]], tuple, tuple, int, int]:
-    """Crash recovery for owned rank ``r``: reinstall the epoch snapshot
-    and re-execute the logged ticks, returning the per-tick emitted packet
-    streams plus the counter deltas the parent prices replay compute from.
-    Mirrors :meth:`RecoveryManager.restore_and_replay` rank-locally."""
-    snap = snaps.get(r)
-    if snap is None:
-        raise TraversalError(
-            f"rank {r} crashed at tick {crash_tick} with no worker-side "
-            f"checkpoint to restore"
-        )
-    rank_image.restore(engine, r, snap)
-    c0 = counter_snapshot(engine, (r,))
-    per_tick_packets: list[list[Packet]] = []
-    controls, replayed = replay_ticks(
-        engine, (r,), epoch_tick + 1, crash_tick - 1,
-        lambda _r, t: log.get(t, ()),
-        after=lambda t: per_tick_packets.append(stub.take()),
-    )
-    return per_tick_packets, c0, counter_snapshot(engine, (r,)), controls, replayed
-
-
-def _worker_durable(
-    engine: "SimulationEngine", owned: list[int], snaps: dict[int, dict]
-) -> dict[int, bytes]:
-    """Pack the owned ranks' durable epoch sections (full-scope images,
-    crossing the pipe — durable epochs must survive the death of every
-    process).  Packed here, so the workers pickle their ranks in parallel
-    and the parent stores bytes."""
-    return {r: rank_image.pack(engine, r, snaps.get(r)) for r in owned}
 
 
 def finalize_ranks(
@@ -1178,46 +1093,6 @@ class WorkerSupervisor:
         stats.supervision_us = self.supervision_us
 
 
-class ParallelRecoveryManager(RecoveryManager):
-    """Checkpoint/restart coordinator for the parallel executor.
-
-    Splits the sequential :class:`RecoveryManager` at the process
-    boundary: rank-local snapshot images and replay execution live in the
-    owning worker; the parent keeps exactly what it owns sequentially —
-    transport channel snapshots, delivery logs, byte/cost accounting —
-    and interleaves transport notes with the worker's replayed sends in
-    per-tick order, so the transport observes the same operation sequence
-    as a sequential replay.
-    """
-
-    def __init__(self, engine: "SimulationEngine", ranks: "PoolRanks") -> None:
-        super().__init__(engine)
-        self.ranks = ranks
-
-    def _snapshot_ranks(self, tick: int) -> tuple[list[dict | None], list[int]]:
-        """Rank images stay in the owning workers; the parent keeps only
-        the transport snapshots (taken by the caller)."""
-        return [None] * self.engine.graph.num_partitions, self.ranks.checkpoint()
-
-    def _replay(self, r: int, crash_tick: int) -> tuple:
-        """Replay in the owning worker; the parent restores the transport
-        snapshot and interleaves, per replayed tick, the logged deliveries'
-        transport notes with the worker's re-emitted sends."""
-        eng = self.engine
-        eng.network.restore_rank(r, self._transport[r])
-        log = self._log[r]
-        per_tick_packets, c0, c1, controls, replayed = self.ranks.replay(
-            r, self.epoch_tick, crash_tick,
-            {t: v for t, v in log.items() if t > self.epoch_tick},
-        )
-        for i, t in enumerate(range(self.epoch_tick + 1, crash_tick)):
-            for pkt in log.get(t, ()):
-                eng.network.note_replayed_delivery(r, pkt)
-            for pkt in per_tick_packets[i]:
-                eng.network.send_packet(pkt)
-        return c0, c1, controls, replayed
-
-
 class PoolRanks:
     """The ``workers > 1`` rank executor of :meth:`SimulationEngine.run`.
 
@@ -1249,12 +1124,6 @@ class PoolRanks:
         for r in range(engine.graph.num_partitions):
             for pkt in seed_packets.get(r, ()):
                 engine.network.send_packet(pkt)
-        if engine.recovery is not None:
-            # Process-aware coordinator: snapshots and replay execute in
-            # the owning worker, the parent keeps the transport snapshots,
-            # logs and cost accounting.
-            engine.recovery = ParallelRecoveryManager(engine, self)
-            engine.network.recovery = engine.recovery
 
     def _gather(self, msg: tuple) -> list:
         """Send one control command to every worker, then collect their
@@ -1293,7 +1162,8 @@ class PoolRanks:
         return [rep.controls for rep in reports]
 
     def checkpoint(self) -> list[int]:
-        """Every worker snapshots its ranks; simulated bytes by rank."""
+        """Every worker takes its ranks' recovery images; simulated bytes
+        by rank."""
         sizes: dict[int, int] = {}
         for part in self._gather(("checkpoint",)):
             sizes.update(part)
@@ -1301,8 +1171,9 @@ class PoolRanks:
 
     def replay(
         self, r: int, epoch_tick: int, crash_tick: int, log: dict[int, list[Packet]]
-    ) -> tuple[list[list[Packet]], tuple, tuple, int, int]:
-        """Simulated rank-crash recovery of rank ``r`` in its owner."""
+    ) -> tuple[list[list[Packet]], tuple, tuple, int]:
+        """Rank ``r``'s restore and replay in its owner
+        (:func:`~repro.runtime.recovery.replay_rank`)."""
         i = self.pool.owner[r]
         deadline = None
         if self.sup.timeout is not None:

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import resolve_rng
+from repro.utils.spec import parse_spec, plus_ints
 
 
 @dataclass(frozen=True)
@@ -110,42 +111,14 @@ class StragglerPlan:
         ``ranks`` pins the straggler set explicitly, joining ranks with
         ``+`` (``ranks=1+5``).
         """
-        aliases = {
+        return cls(**parse_spec(spec, "straggler", {
             "seed": ("seed", int),
             "factor": ("factor", float),
             "fraction": ("fraction", float),
             "rebalance": ("rebalance", float),
             "pacing": ("pacing", lambda v: bool(int(v))),
-        }
-        kwargs: dict = {}
-        for item in filter(None, (s.strip() for s in spec.split(","))):
-            if "=" not in item:
-                raise ConfigurationError(
-                    f"straggler spec item {item!r} is not key=value"
-                )
-            key, _, value = item.partition("=")
-            key = key.strip().lower()
-            if key == "ranks":
-                try:
-                    kwargs["ranks"] = tuple(int(x) for x in value.split("+"))
-                except ValueError:
-                    raise ConfigurationError(
-                        f"straggler ranks {value!r} are not '+'-joined integers"
-                    ) from None
-            elif key in aliases:
-                name, conv = aliases[key]
-                try:
-                    kwargs[name] = conv(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"straggler spec {key}={value!r} is invalid"
-                    ) from None
-            else:
-                raise ConfigurationError(
-                    f"unknown straggler spec key {key!r} "
-                    f"(known: {', '.join(sorted(aliases))}, ranks)"
-                )
-        return cls(**kwargs)
+            "ranks": ("ranks", plus_ints),
+        }))
 
 
 class StragglerClock:

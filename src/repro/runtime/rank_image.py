@@ -3,13 +3,17 @@
 Crash-recovery epochs (:mod:`repro.runtime.recovery`) and the epoch
 sections that durable epochs and worker supervision share
 (:mod:`repro.runtime.durability`) all capture and reinstall a rank here,
-so the key set and the restore order are written once.  An image is a
-plain dict of per-class ``snapshot_state`` results, taken at a post-flush
-tick barrier, in one of two scopes:
+so the key set and the restore order are written once.  Every function
+runs in the process that runs the rank: in-process at ``workers=1``, in
+the owning worker under a pool.  An image is a plain dict of per-class
+``snapshot_state`` results, taken at a post-flush tick barrier, in one of
+two scopes:
 
 * **recovery** (``full=False``): queue, mailbox and, with a detector, its
   protocol state — what a simulated rank crash loses (page caches stay
-  warm across one).
+  warm across one).  The last one is kept in
+  ``SimulationEngine.recovery_images`` and rides the rank's durable
+  section (:func:`pack`).
 * **full** (``full=True``): those plus the queue's spill ledger, the CSR
   page cache, the spill pager and the storage-fault RNG stream —
   everything a process that lost the rank cannot reconstruct.
@@ -22,10 +26,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import SimulationEngine
-
-#: Keys of a recovery-scope image.
-RECOVERY_KEYS = ("queue", "mailbox", "detector")
-
 
 def _storage_injector(engine: "SimulationEngine", r: int):
     """The rank's storage fault injector, if any.  The *same* object is
@@ -61,11 +61,6 @@ def capture(engine: "SimulationEngine", r: int, *, full: bool) -> dict:
     return image
 
 
-def recovery_part(image: dict) -> dict:
-    """The recovery-scope subset of ``image`` (shares its values)."""
-    return {k: image[k] for k in RECOVERY_KEYS if k in image}
-
-
 def restore(engine: "SimulationEngine", r: int, image: dict) -> None:
     """Reinstall ``image`` (either scope) into rank ``r`` in place.
 
@@ -90,13 +85,14 @@ def restore(engine: "SimulationEngine", r: int, image: dict) -> None:
         _storage_injector(engine, r).restore_state(image["storage_injector"])
 
 
-def pack(engine: "SimulationEngine", r: int, recovery: dict | None) -> bytes:
+def pack(engine: "SimulationEngine", r: int) -> bytes:
     """Rank ``r``'s durable section, pickled: its full image plus
-    ``recovery``, the recovery-scope image of its last crash-recovery
-    epoch (``None`` without one).  Under ``workers > 1`` each worker packs
-    its own ranks, so a rank's state is pickled once, by its owner, and
-    the parent keeps bytes."""
+    ``engine.recovery_images[r]``, the recovery-scope image of its last
+    crash-recovery epoch (``None`` without one).  Packed by the process
+    that runs the rank — under ``workers > 1`` each worker packs its own
+    ranks, so a rank's state is pickled once, by its owner, and the parent
+    keeps bytes."""
     return pickle.dumps(
-        (capture(engine, r, full=True), recovery),
+        (capture(engine, r, full=True), engine.recovery_images[r]),
         protocol=pickle.HIGHEST_PROTOCOL,
     )

@@ -27,6 +27,20 @@ plan crashes ranks:
   those below the receiver's watermark (already delivered — the restart
   handshake) and re-queues the rest, which receiver-side dedup makes safe.
 
+One manager drives every rank executor.  A rank's recovery image lives in
+``SimulationEngine.recovery_images``, written and read only by the process
+that runs the rank: :func:`checkpoint_rank` and :func:`replay_rank` are
+the rank-local half, run in this process at ``workers=1`` and in the
+owning worker under a pool (which inherits the list copy-on-write when it
+forks, e.g. right after an epoch was reinstalled).  Replay sends into a
+:class:`~repro.comm.network.PacketRecorder`; the manager restores the
+rank's transport snapshot and then, per replayed tick, notes the logged
+deliveries and re-sends that tick's packets.  Its own epoch — transport
+snapshots, delivery logs, counters — rides the engine epoch through
+:meth:`RecoveryManager.snapshot_state` / :meth:`~RecoveryManager.restore_state`,
+and the rank images ride the ranks' sections
+(:func:`repro.runtime.rank_image.pack`).
+
 Recovery time — fixed restart cost, restore bytes, and the replayed
 compute priced by the ordinary ``MachineModel`` event rates — is returned
 to the transport and charged into the crash tick's per-rank costs.
@@ -66,21 +80,12 @@ def estimate_checkpoint_bytes(engine: "SimulationEngine", r: int) -> int:
     )
 
 
-def counter_snapshot(
-    engine: "SimulationEngine", ranks
-) -> tuple[int, int, int, int, int]:
-    """Summed cumulative (previsits, visits, edges, packets, bytes) over
-    ``ranks`` — the before/after pair a replay's compute is priced from."""
-    pv = vi = es = ps = bs = 0
-    for r in ranks:
-        c = engine.ranks[r].counters
-        mb = engine.mailboxes[r]
-        pv += c.previsits
-        vi += c.visits
-        es += c.edges_scanned
-        ps += mb.packets_sent
-        bs += mb.bytes_sent
-    return (pv, vi, es, ps, bs)
+def counter_snapshot(engine: "SimulationEngine", r: int) -> tuple[int, int, int, int, int]:
+    """Rank ``r``'s cumulative (previsits, visits, edges, packets, bytes)
+    — the before/after pair a replay's compute is priced from."""
+    c = engine.ranks[r].counters
+    mb = engine.mailboxes[r]
+    return (c.previsits, c.visits, c.edges_scanned, mb.packets_sent, mb.bytes_sent)
 
 
 def replay_price_us(machine, c0, c1, controls: int, restore_bytes: int) -> float:
@@ -98,49 +103,56 @@ def replay_price_us(machine, c0, c1, controls: int, restore_bytes: int) -> float
     return m.restart_us + restore_bytes * m.restore_byte_us + compute_us
 
 
-def replay_ticks(
+def checkpoint_rank(engine: "SimulationEngine", r: int) -> int:
+    """Take rank ``r``'s recovery-scope image into
+    ``engine.recovery_images`` (in the process that runs the rank);
+    returns its simulated byte size."""
+    engine.recovery_images[r] = rank_image.capture(engine, r, full=False)
+    return estimate_checkpoint_bytes(engine, r)
+
+
+def replay_rank(
     engine: "SimulationEngine",
-    order,
-    first: int,
-    last: int,
-    arrivals,
-    *,
-    before=None,
-    after=None,
-) -> tuple[int, int]:
-    """Re-execute ticks ``first .. last`` for the ranks in ``order``: each
-    rank's ``_rank_tick`` on its logged ``arrivals(r, t)``, the rank-0
-    detector wave if rank 0 is among them, then each rank's flush — the
-    main loop's sequence, so replays are behaviour-identical.
-    ``before(t)`` / ``after(t)`` bracket each tick.  Returns ``(controls
-    handled, ticks replayed)``."""
-    detectors = engine.detectors
-    wave = 0 in order and detectors is not None
+    recorder,
+    r: int,
+    epoch_tick: int,
+    crash_tick: int,
+    log: dict[int, list[Packet]],
+) -> tuple[list[list[Packet]], tuple, tuple, int]:
+    """Restore rank ``r`` from its recovery image and re-execute ticks
+    ``epoch_tick+1 .. crash_tick-1`` on the logged deliveries — the main
+    loop's sequence (``_rank_tick``, the rank-0 detector wave, the flush),
+    so replays are behaviour-identical.  The rank's mailbox must send
+    into ``recorder`` (a :class:`~repro.comm.network.PacketRecorder`).
+    Returns the packets each replayed tick emitted, the counters before
+    and after, and the control messages handled."""
+    rank_image.restore(engine, r, engine.recovery_images[r])
+    detector = engine.detectors[0] if r == 0 and engine.detectors is not None else None
+    c0 = counter_snapshot(engine, r)
+    per_tick: list[list[Packet]] = []
     controls = 0
-    for t in range(first, last + 1):
-        if before is not None:
-            before(t)
-        for r in order:
-            controls += engine._rank_tick(r, list(arrivals(r, t)))
-        if wave and not detectors[0].terminated:
-            detectors[0].maybe_start_wave()
-        for r in order:
-            engine.mailboxes[r].flush()
-        if after is not None:
-            after(t)
-    return controls, max(0, last - first + 1)
+    for t in range(epoch_tick + 1, crash_tick):
+        controls += engine._rank_tick(r, list(log.get(t, ())))
+        if detector is not None and not detector.terminated:
+            detector.maybe_start_wave()
+        engine.mailboxes[r].flush()
+        per_tick.append(recorder.take())
+    return per_tick, c0, counter_snapshot(engine, r), controls
 
 
 class RecoveryManager:
-    """Checkpoint/restart coordinator for one engine run."""
+    """Checkpoint/restart coordinator for one engine run, whatever the
+    rank executor: the parent keeps the transport snapshots, delivery
+    logs and cost accounting; the executor (``ranks``, attached by the
+    tick loop) takes and replays the rank images where the ranks run."""
 
     def __init__(self, engine: "SimulationEngine") -> None:
         self.engine = engine
         p = engine.graph.num_partitions
+        #: the rank executor whose ``checkpoint`` / ``replay`` run the
+        #: rank-local half (set by :meth:`SimulationEngine._traverse`).
+        self.ranks = None
         self.epoch_tick = -1  # no checkpoint yet
-        #: per-rank recovery-scope rank images (``None`` where the image
-        #: lives in the owning worker) and transport channel snapshots.
-        self._images: list[dict | None] = [None] * p
         self._transport: list[dict | None] = [None] * p
         self._state_bytes = [0] * p
         self._log: list[dict[int, list[Packet]]] = [{} for _ in range(p)]
@@ -171,12 +183,10 @@ class RecoveryManager:
 
     def _take_snapshots(self, tick: int) -> np.ndarray:
         eng = self.engine
-        images, sizes = self._snapshot_ranks(tick)
-        costs = np.zeros(len(images), dtype=np.float64)
-        for r, image in enumerate(images):
-            self._images[r] = image
+        sizes = self.ranks.checkpoint()
+        costs = np.zeros(len(sizes), dtype=np.float64)
+        for r, nbytes in enumerate(sizes):
             self._transport[r] = eng.network.snapshot_rank(r)
-            nbytes = sizes[r]
             self._state_bytes[r] = nbytes
             self.checkpoint_bytes += nbytes
             costs[r] = nbytes * eng.machine.checkpoint_byte_us
@@ -184,15 +194,6 @@ class RecoveryManager:
             self._log[r] = {t: v for t, v in self._log[r].items() if t > tick}
         self.epoch_tick = tick
         return costs
-
-    def _snapshot_ranks(self, tick: int) -> tuple[list[dict | None], list[int]]:
-        """Every rank's recovery-scope image and simulated byte size."""
-        eng = self.engine
-        p = eng.graph.num_partitions
-        return (
-            [rank_image.capture(eng, r, full=False) for r in range(p)],
-            [estimate_checkpoint_bytes(eng, r) for r in range(p)],
-        )
 
     # ------------------------------------------------------------------ #
     def log_arrivals(self, tick: int, rank: int, packets: list[Packet]) -> None:
@@ -205,43 +206,63 @@ class RecoveryManager:
     def restore_and_replay(self, r: int, crash_tick: int) -> tuple[float, int]:
         """Bring restarted rank ``r`` back to its pre-crash state.
 
-        Reinstalls the epoch snapshot, then re-executes ticks
-        ``epoch_tick+1 .. crash_tick-1`` against the delivery log.  Replay
-        is deterministic, so the rank's vertex states, heap, mailbox and
-        detector counters land bit-identical to the moment before the
-        crash.  Returns ``(simulated_cost_us, ticks_replayed)``.
+        Restores the rank's transport snapshot, has the executor reinstall
+        the epoch image and re-execute ticks ``epoch_tick+1 ..
+        crash_tick-1`` against the delivery log, then per replayed tick
+        notes the logged deliveries and re-sends that tick's packets — the
+        transport sees the same operation sequence as the original ticks.
+        Replay is deterministic, so the rank's vertex states, heap,
+        mailbox and detector counters land bit-identical to the moment
+        before the crash.  Returns ``(simulated_cost_us, ticks_replayed)``.
         """
         if self._transport[r] is None:
             raise TraversalError(
                 f"rank {r} crashed at tick {crash_tick} with no checkpoint "
                 f"to restore (recovery manager not initialised?)"
             )
-        c0, c1, controls, replayed = self._replay(r, crash_tick)
+        net = self.engine.network
+        net.restore_rank(r, self._transport[r])
+        log = self._log[r]
+        per_tick, c0, c1, controls = self.ranks.replay(
+            r, self.epoch_tick, crash_tick, log
+        )
+        for t, packets in enumerate(per_tick, start=self.epoch_tick + 1):
+            for pkt in log.get(t, ()):
+                net.note_replayed_delivery(r, pkt)
+            for pkt in packets:
+                net.send_packet(pkt)
         self.recoveries += 1
         cost_us = replay_price_us(
             self.engine.machine, c0, c1, controls, self._state_bytes[r]
         )
-        return cost_us, replayed
+        return cost_us, len(per_tick)
 
-    def _replay(self, r: int, crash_tick: int) -> tuple:
-        """Restore rank ``r`` from its epoch image and re-execute its
-        logged ticks in this process; returns ``(c0, c1, controls,
-        replayed)``."""
-        eng = self.engine
-        rank_image.restore(eng, r, self._images[r])
-        eng.network.restore_rank(r, self._transport[r])
-        log = self._log[r]
+    # ------------------------------------------------------------------ #
+    def snapshot_state(self) -> dict:
+        """The parent-side epoch (transport snapshots, delivery logs,
+        counters) for an engine epoch; the rank images ride the ranks'
+        own sections."""
+        return {
+            "epoch_tick": self.epoch_tick,
+            "state_bytes": list(self._state_bytes),
+            "log": [dict(log) for log in self._log],
+            "transport": list(self._transport),
+            "checkpoints_taken": self.checkpoints_taken,
+            "checkpoint_bytes": self.checkpoint_bytes,
+            "recoveries": self.recoveries,
+        }
 
-        def note_deliveries(t: int) -> None:
-            for pkt in log.get(t, ()):
-                eng.network.note_replayed_delivery(r, pkt)
-
-        c0 = counter_snapshot(eng, (r,))
-        controls, replayed = replay_ticks(
-            eng, (r,), self.epoch_tick + 1, crash_tick - 1,
-            lambda _r, t: log.get(t, ()), before=note_deliveries,
-        )
-        return c0, counter_snapshot(eng, (r,)), controls, replayed
+    def restore_state(self, state: dict) -> None:
+        """Reinstall a :meth:`snapshot_state` image — never re-checkpoint
+        at a resume tick, which would shorten a later crash's replay
+        window and change its ``recovery_us``."""
+        self.epoch_tick = state["epoch_tick"]
+        self._state_bytes = list(state["state_bytes"])
+        self._log = [dict(log) for log in state["log"]]
+        self._transport = list(state["transport"])
+        self.checkpoints_taken = state["checkpoints_taken"]
+        self.checkpoint_bytes = state["checkpoint_bytes"]
+        self.recoveries = state["recoveries"]
 
     # ------------------------------------------------------------------ #
     def storage_recover(self, r: int, num_pages: int) -> float:

@@ -104,15 +104,29 @@ def test_resume_bit_identical_workers(algo, source, tmp_path):
     _assert_resume_identical(algo, source, tmp_path, batch=True, workers=4)
 
 
-def test_resume_written_at_workers4_resumed_at_workers1(source, tmp_path):
-    """The epoch format is worker-count-independent (cold caches)."""
-    d = str(tmp_path / "dur")
-    full = bfs(_graph()[1], source, durable_dir=d, durable_interval=INTERVAL,
-               record_digests=True, batch=True, workers=4)
-    resumed = bfs(_graph()[1], source, durable_dir=d, durable_interval=INTERVAL,
-                  record_digests=True, durable_resume=True, batch=True)
+@pytest.mark.parametrize("written, resumed_at", [(4, 1), (1, 4)],
+                         ids=["4to1", "1to4"])
+def test_resume_at_another_worker_count_replays_a_crash(written, resumed_at, tmp_path):
+    """The epoch format is worker-count-independent (cold caches), and so
+    is the crash-recovery image inside it: the simulated crash at tick 17
+    replays, after the resume at tick 16, from the recovery epoch of tick
+    12 that the other executor took and packed."""
+    def graph():
+        return build_rmat_graph(9, num_partitions=8, num_ghosts=64, seed=1)
+
+    src = pick_bfs_source(graph()[0], seed=1)
+    plan = FaultPlan(seed=7, drop_rate=0.02, crashes=(CrashEvent(tick=17, rank=1),))
+    kw = dict(durable_dir=str(tmp_path / "dur"), durable_interval=8,
+              checkpoint_interval=6, faults=plan, record_digests=True, batch=True)
+    full = bfs(graph()[1], src, workers=written, **kw)
+    resumed = bfs(graph()[1], src, workers=resumed_at, durable_resume=True, **kw)
+    assert resumed.stats.durable_resume_tick == 16
+    assert full.stats.recoveries == resumed.stats.recoveries == 1
+    assert full.stats.replayed_ticks == 4  # ticks 13..16, from epoch 12
     assert _stats_dict(full.stats) == _stats_dict(resumed.stats)
+    assert full.stats.order_digest == resumed.stats.order_digest
     assert np.array_equal(full.data.levels, resumed.data.levels)
+    assert np.array_equal(full.data.parents, resumed.data.parents)
 
 
 # --------------------------------------------------------------------- #
@@ -120,7 +134,7 @@ def test_resume_written_at_workers4_resumed_at_workers1(source, tmp_path):
 # --------------------------------------------------------------------- #
 def test_resume_under_chaos_with_simulated_crash(source, tmp_path):
     """A simulated rank crash scheduled *after* the resume point replays
-    from the transplanted recovery snapshot, landing on the same
+    from the recovery image restored with the epoch, landing on the same
     recovery_us and counters as the uninterrupted run."""
     plan = FaultPlan(seed=7, drop_rate=0.02,
                      crashes=(CrashEvent(tick=14, rank=1),))

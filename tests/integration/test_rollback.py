@@ -9,9 +9,11 @@ the finalize barrier — and the healed run must match the unfailed
 :data:`~repro.runtime.trace.SUPERVISION_STATS_FIELDS` (results, every
 other counter, the durable family included, and the order digest).  The
 one exception there is ``durable_disk_bytes``, the host pickle size of the
-written epochs: a rank's recovery image pickles a few bytes larger from a
-worker than in-process, and again after a rollback, with the same
-content.  The durable-damage cell compares against the unfailed run at
+written epochs: after a rollback a rank's section pickles larger with the
+same content, because the recovery image restored from the epoch no
+longer shares objects with the live rank, so the pickle memo cannot
+reuse them.  Unfailed, the run writes byte-identical epochs at either
+worker count.  The durable-damage cell compares against the unfailed run at
 the same worker count instead, including ``durable_disk_bytes``, and pins
 what a rollback must rewind besides the engine: a re-executed durable
 tick writes, damages and verifies its epoch exactly as it did the first
@@ -258,3 +260,16 @@ def test_rollback_to_a_kept_durable_capture(graph, tmp_path):
     assert (_stats_key(clean.stats, disk_bytes=True)
             == _stats_key(healed.stats, disk_bytes=True))
     assert _dir_bytes(tmp_path / "clean") == _dir_bytes(tmp_path / "healed")
+
+
+def test_durable_epochs_do_not_depend_on_the_executor(graph, tmp_path):
+    """The unfailed heal-point run writes the same epochs at ``workers=1``
+    and ``workers=4``, byte for byte: a packet pickles with its wire-size
+    memo filled, whether it was sent in-process or decoded from a barrier
+    frame."""
+    kw = _heal_point_kwargs()
+    seq = bfs(graph, 0, durable_dir=str(tmp_path / "seq"), **kw)
+    par = bfs(graph, 0, durable_dir=str(tmp_path / "par"), workers=WORKERS, **kw)
+    assert seq.stats.durable_disk_bytes == par.stats.durable_disk_bytes
+    _assert_healed(seq, par, disk_bytes=True)
+    assert _dir_bytes(tmp_path / "seq") == _dir_bytes(tmp_path / "par")

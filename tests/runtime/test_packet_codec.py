@@ -114,16 +114,15 @@ def test_trains_mixed_with_singles_in_tick_buckets_and_arrival_frames():
     and the decoded arrivals deliver what the originals deliver."""
     from repro.comm.mailbox import Mailbox
     from repro.comm.message import KIND_CONTROL
-    from repro.comm.network import Network
+    from repro.comm.network import Network, PacketRecorder
     from repro.comm.routing import DirectTopology
-    from repro.runtime.parallel import _StubNetwork
 
     p = 4
     net = Network(p)
     topo = DirectTopology(p)
     buckets = []
     for src in range(p):
-        stub = _StubNetwork(net)
+        stub = PacketRecorder(net)
         box = Mailbox(src, topo, stub, aggregation_size=4)
         box.send_stream(*_stream(40, seed=src), 16)
         phase_a = stub.take()

@@ -1,9 +1,11 @@
 """Tests for epoch checkpointing and crash recovery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.algorithms.bfs import bfs
+from repro.algorithms.bfs import BFSAlgorithm, bfs
 from repro.comm.faults import CrashEvent, FaultPlan
 from repro.comm.mailbox import Mailbox
 from repro.comm.message import KIND_VISITOR
@@ -15,6 +17,7 @@ from repro.generators.rmat import rmat_edges
 from repro.graph.distributed import DistributedGraph
 from repro.graph.edge_list import EdgeList
 from repro.runtime.costmodel import EngineConfig, MachineModel, laptop
+from repro.runtime.engine import SimulationEngine
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +153,36 @@ class TestCrashRecovery:
         r = bfs(g, s, faults=plan, checkpoint_interval=4)
         # the crashed rank's restart cost is visible in simulated time
         assert r.stats.recovery_us >= laptop().restart_us
+
+
+class TestOneManager:
+    """One :class:`RecoveryManager` drives every rank executor; the rank
+    images live where the ranks run."""
+
+    @pytest.mark.parametrize("crashes", [
+        (CrashEvent(tick=4, rank=0), CrashEvent(tick=8, rank=5)),
+        (CrashEvent(tick=5, rank=2), CrashEvent(tick=9, rank=2)),
+    ], ids=["rank0-wave", "same-rank-twice"])
+    def test_workers_replay_like_in_process(self, graph_and_source, crashes):
+        """A replay in the owning worker (rank 0's re-runs the detector
+        wave) hands the manager the packets an in-process replay sends."""
+        g, s = graph_and_source
+        plan = FaultPlan(seed=3, drop_rate=0.01, crashes=crashes)
+        seq, par = (
+            bfs(g, s, faults=plan, checkpoint_interval=3, batch=True, workers=w)
+            for w in (1, 4)
+        )
+        assert seq.stats.recoveries == 2 and seq.stats.replayed_ticks > 0
+        assert dataclasses.asdict(seq.stats) == dataclasses.asdict(par.stats)
+        assert np.array_equal(seq.data.levels, par.data.levels)
+        assert np.array_equal(seq.data.parents, par.data.parents)
+
+    def test_in_process_replay_hands_the_mailbox_back(self, graph_and_source):
+        g, s = graph_and_source
+        plan = FaultPlan(seed=7, crashes=(CrashEvent(tick=6, rank=2),))
+        eng = SimulationEngine(g, BFSAlgorithm(s), laptop(),
+                               config=EngineConfig(faults=plan, checkpoint_interval=4))
+        _, stats = eng.run()
+        assert stats.recoveries == 1
+        assert all(mb.network is eng.network for mb in eng.mailboxes)
+        assert all(image is not None for image in eng.recovery_images)
