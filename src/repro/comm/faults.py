@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import resolve_rng
-from repro.utils.spec import events, parse_spec
+from repro.utils.spec import Events, parse_spec
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class FaultPlan:
             "dup": ("duplicate_rate", float),
             "delay": ("delay_rate", float),
             "maxdelay": ("max_delay", int),
-            "crash": ("crashes", events(
+            "crash": ("crashes", Events(
                 CrashEvent, "crash", "tick:rank[:down_rounds]", (2, 3))),
         }))
 
@@ -204,7 +204,7 @@ class WorkerFaultPlan:
         ``forkfail=N`` fails the first N re-forks.
         """
         fields = {
-            kind: ("events", events(
+            kind: ("events", Events(
                 lambda tick, rank, kind=kind: WorkerFaultEvent(tick, rank, kind),
                 "worker fault", "tick:rank", (2,)))
             for kind in WORKER_FAULT_KINDS

@@ -93,6 +93,8 @@ class Packet:
     def __getstate__(self):
         """Pickle with the wire-size memo filled, so a packet's bytes do
         not depend on whether anything asked for its size yet (packets
-        decoded from barrier frames have not; in-process ones have)."""
+        decoded from barrier frames have not; in-process ones have).  The
+        ``(None, slot dict)`` pair is the default slots state, spelled out
+        because ``object.__getstate__`` only exists from Python 3.11."""
         _ = self.wire_bytes
-        return object.__getstate__(self)
+        return None, {f: getattr(self, f) for f in self.__slots__}

@@ -20,9 +20,9 @@ def parse_spec(spec: str, what: str, fields: dict[str, tuple[str, Callable]]) ->
     ``fields`` maps each known key to ``(kwarg name, converter)``.  A
     converter's ``ValueError`` becomes a
     :class:`~repro.errors.ConfigurationError`, as do an item without ``=``
-    and an unknown key.  A converter that returns a list (:func:`events`)
+    and an unknown key.  A key declared with an :class:`Events` converter
     extends its kwarg's tuple, so event keys may repeat and several may
-    feed one kwarg; any other value replaces the kwarg.
+    feed one kwarg; any other converter's value replaces the kwarg.
     """
     kwargs: dict = {}
     for item in filter(None, (s.strip() for s in spec.split(","))):
@@ -39,7 +39,7 @@ def parse_spec(spec: str, what: str, fields: dict[str, tuple[str, Callable]]) ->
             out = conv(value)
         except ValueError as exc:
             raise ConfigurationError(f"{what} spec {key}={value!r}: {exc}") from None
-        kwargs[name] = (*kwargs.get(name, ()), *out) if isinstance(out, list) else out
+        kwargs[name] = (*kwargs.get(name, ()), *out) if isinstance(conv, Events) else out
     return kwargs
 
 
@@ -48,18 +48,20 @@ def plus_ints(value: str) -> tuple[int, ...]:
     return tuple(int(x) for x in value.split("+"))
 
 
-def events(make: Callable, what: str, form: str, arities: tuple[int, ...]) -> Callable:
+class Events:
     """Converter of a ``+``-joined list of ``form``-shaped ``a:b[:c]``
     events with ``len in arities`` integer fields, each built by
-    ``make(*fields)``; returns a list, so the events accumulate."""
+    ``make(*fields)``.  :func:`parse_spec` accumulates the events of every
+    key declared with it."""
 
-    def convert(value: str) -> list:
+    def __init__(self, make: Callable, what: str, form: str, arities: tuple[int, ...]):
+        self.make, self.what, self.form, self.arities = make, what, form, arities
+
+    def __call__(self, value: str) -> tuple:
         out = []
         for ev in value.split("+"):
             parts = ev.split(":")
-            if len(parts) not in arities:
-                raise ConfigurationError(f"{what} event {ev!r} is not {form}")
-            out.append(make(*(int(x) for x in parts)))
-        return out
-
-    return convert
+            if len(parts) not in self.arities:
+                raise ConfigurationError(f"{self.what} event {ev!r} is not {self.form}")
+            out.append(self.make(*(int(x) for x in parts)))
+        return tuple(out)

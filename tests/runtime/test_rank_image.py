@@ -88,8 +88,8 @@ def test_recovery_part_is_the_recovery_capture(case, batch):
     for r in range(eng.graph.num_partitions):
         full = rank_image.capture(eng, r, full=True)
         recovery = rank_image.capture(eng, r, full=False)
-        assert set(recovery) <= {"queue", "mailbox", "detector"}
-        assert _bytes({k: full[k] for k in recovery}) == _bytes(recovery)
+        scope = {k: full[k] for k in ("queue", "mailbox", "detector") if k in full}
+        assert _bytes(scope) == _bytes(recovery)
 
 
 def test_post_flush_images_hold_no_spilled_mailbox_bytes():

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.memory.faults import StorageFaultPlan
 from repro.runtime.durability import DurableFaultPlan
 from repro.runtime.pressure import StragglerPlan
-from repro.utils.spec import parse_spec, plus_ints
+from repro.utils.spec import Events, parse_spec, plus_ints
 
 
 @pytest.mark.parametrize("plan, spec", [
@@ -36,6 +36,18 @@ def test_event_keys_accumulate_and_scalars_replace():
     assert [(e.tick, e.rank, e.kind) for e in worker.events] == [
         (6, 0, "hang"), (4, 1, "kill"), (2, 3, "hang"),
     ]
+
+
+def test_only_keys_declared_as_events_accumulate():
+    """Accumulation follows the declared converter, not the shape of the
+    value it returns: a plain converter returning a list still replaces."""
+    fields = {
+        "ev": ("ev", Events(lambda a, b: (a, b), "test", "a:b", (2,))),
+        "ls": ("ls", lambda v: [int(x) for x in v.split("+")]),
+    }
+    assert parse_spec("ev=1:2,ls=1+2,ev=3:4,ls=5", "test", fields) == {
+        "ev": ((1, 2), (3, 4)), "ls": [5],
+    }
 
 
 def test_parse_spec_keys_are_case_and_space_insensitive():
