@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import VisitorBatch, occurrence_counts
+from repro.core.batch import VisitorBatch, arrival_groups
 from repro.core.traversal import TraversalResult, run_traversal
 from repro.core.visitor import ROLE_MASTER, AsyncAlgorithm, Visitor
 from repro.graph.distributed import DistributedGraph
@@ -115,24 +115,23 @@ class KCoreStateArrays:
                 alive[i] = False
                 return np.array([True])
             return np.array([False])
-        occ = occurrence_counts(idx)
-        alive_pre = alive[idx]
+        # One stable sort groups the arrivals per vertex in arrival order.
+        order, starts, group = arrival_groups(idx)
+        fidx = idx[order[starts]]  # each target vertex once
+        cnt = np.bincount(group)  # its arrivals in this batch
+        live = alive[fidx]
         # Arrivals needed to kill each target, measured from its pre-batch
         # counter (meaningful only where the vertex is live).
-        kill_at = np.maximum(1, kcore[idx] - self.k + 1)
-        mask = alive_pre & (occ + 1 == kill_at)
-        # Fold the batch into the arrays via the *first* arrival of each
-        # vertex (occ == 0 rows carry the pre-batch counter): the vertex
-        # absorbs min(count, kill_at) decrements and dies iff the batch
-        # reached its kill index.
-        first = occ == 0
-        fidx = idx[first]
-        uniq, counts = np.unique(idx, return_counts=True)
-        cnt = counts[np.searchsorted(uniq, fidx)]
-        live_first = alive_pre[first]
-        ka = kill_at[first]
-        kcore[fidx] -= np.where(live_first, np.minimum(cnt, ka), 0)
-        alive[fidx[live_first & (cnt >= ka)]] = False
+        kill_at = np.maximum(1, kcore[fidx] - self.k + 1)
+        # The kill arrival alone passes: its index within the vertex's run
+        # is kill_at - 1.
+        mask = np.empty(n, dtype=bool)
+        occ = np.arange(n) - starts[group]
+        mask[order] = live[group] & (occ + 1 == kill_at[group])
+        # The vertex absorbs min(count, kill_at) decrements and dies iff
+        # the batch reached its kill index.
+        kcore[fidx] -= np.where(live, np.minimum(cnt, kill_at), 0)
+        alive[fidx[live & (cnt >= kill_at)]] = False
         return mask
 
     def snapshot(self) -> dict:

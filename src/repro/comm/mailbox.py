@@ -74,10 +74,9 @@ class Mailbox:
         #: the spilled (beyond-cap) portion of each hop buffer, bytes.
         self._spill_bytes: dict[int, int] = {}
         self._local: list[Envelope] = []
-        # next-hop lookup table for this rank (hot path: one index instead
-        # of a routing-method call per enqueued envelope)
+        # next-hop row of this rank (hot path: one index instead of a
+        # routing-method call per enqueued envelope)
         self._hop_np = topology.next_hops(rank)
-        self._hop_row = self._hop_np.tolist()
         # --- counters ---------------------------------------------------
         #: visitor envelopes originated or forwarded from this rank
         #: (the "visitor send count" of the quiescence algorithm).
@@ -110,7 +109,7 @@ class Mailbox:
         if dest == self.rank:
             self._local.append(env)
             return
-        hop = self._hop_row[dest]
+        hop = int(self._hop_np[dest])
         buffered = self._buffer_counts.pop(hop, 0) + 1
         full = buffered >= self.aggregation_size
         read_back, _ = self._ledger([(hop, buffered - 1, 1, int(full))],
@@ -342,7 +341,7 @@ class Mailbox:
         """Re-buffer a run of transit envelopes as one segment pass;
         returns a fresh run."""
         if run:
-            hops = [self._hop_row[e.dest] for e in run]
+            hops = self._hop_np[[e.dest for e in run]].tolist()
             at = list(accumulate((e.count for e in run), initial=0))
             self._segment([(hops[i], at[i], run[i])
                            for i in sorted(range(len(run)), key=hops.__getitem__)],

@@ -312,6 +312,24 @@ class GhostArrayTable:
         self.filter_passes = snap["filter_passes"]
 
 
+def arrival_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal values of a non-empty array by one stable sort.
+
+    Returns ``(order, starts, group)``: ``order`` is the stable argsort of
+    ``values``, ``starts`` the sorted positions where each run of equal
+    values begins, and ``group[j]`` the run of sorted position ``j``.  The
+    sort keeps arrival order inside a run, so ``order[starts]`` are the
+    runs' first arrivals and ``j - starts[group[j]]`` is the arrival index
+    of sorted position ``j`` within its run.
+    """
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=new[1:])
+    return order, np.flatnonzero(new), np.cumsum(new) - 1
+
+
 def occurrence_counts(values: np.ndarray) -> np.ndarray:
     """Per-position within-batch arrival index: ``occ[i]`` is the number of
     earlier positions ``j < i`` with ``values[j] == values[i]``.
@@ -325,12 +343,9 @@ def occurrence_counts(values: np.ndarray) -> np.ndarray:
     n = values.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    lens = np.diff(np.r_[starts, n])
+    order, starts, group = arrival_groups(values)
     occ = np.empty(n, dtype=np.int64)
-    occ[order] = np.arange(n, dtype=np.int64) - np.repeat(starts, lens)
+    occ[order] = np.arange(n, dtype=np.int64) - starts[group]
     return occ
 
 

@@ -4,10 +4,11 @@ Executes the *real* Algorithm-1 code (push / check_mailbox / local priority
 queues / replica forwarding / counting quiescence detection) on ``p``
 simulated ranks, advancing a simulated clock.
 
-One **tick** is the engine's scheduling quantum: every rank drains its
-arrived packets, executes up to ``visitor_budget`` visitors, and flushes
-its aggregation buffers; packets flushed in tick ``t`` arrive at their next
-hop in tick ``t + 1``.  Tick duration is::
+One **tick** is the engine's scheduling quantum: every rank with work
+drains its arrived packets, executes up to ``visitor_budget`` visitors,
+and flushes its aggregation buffers (a quiet rank is skipped, which is
+unobservable); packets flushed in tick ``t`` arrive at their next hop in
+tick ``t + 1``.  Tick duration is::
 
     max( per-rank cost this tick ...,  min_tick,  hop latency if traffic )
 
@@ -347,6 +348,22 @@ class SimulationEngine:
         if seed is not None:
             self.ranks[r].push_batch(seed)
 
+    def _active_ranks(self, order, arrivals) -> list[int]:
+        """The ranks of ``order`` that run this tick (INTERNALS §2): those
+        with arrivals (``arrivals[r]``), queued visitors or unflushed
+        envelopes, and rank 0, which starts the detector waves and flushes
+        after them.  A quiet rank's tick would change nothing — no counter,
+        heap, buffer or detector count — so skipping it is unobservable.
+        The one rule both executors apply, derived afresh each tick from
+        rank state, so seeding, replay, resume and rollback need no
+        bookkeeping."""
+        ranks, mailboxes = self.ranks, self.mailboxes
+        return [
+            r for r in order
+            if arrivals[r] or r == 0 or not ranks[r].locally_quiet()
+            or mailboxes[r].has_buffered()
+        ]
+
     @contextlib.contextmanager
     def _rank_executor(self, resume):
         """The rank executor :meth:`run`'s tick loop drives: in-process at
@@ -438,6 +455,8 @@ class SimulationEngine:
         sup = self.supervisor
         # Previous / current cumulative counter snapshots for the per-tick
         # cost deltas, columns: previsits, visits, edges, packets, bytes.
+        # ``cur`` keeps its rows between ticks: the executor rewrites only
+        # the rows of ranks whose counters can have moved.
         prev = np.zeros((p, 5), dtype=np.int64)
         cur = np.empty((p, 5), dtype=np.int64)
         # Cumulative backpressure stalls already charged (the mailboxes
@@ -446,6 +465,13 @@ class SimulationEngine:
         last_cache_hits = 0
         last_cache_misses = 0
         last_bp_stalls = 0
+        # The ranks with per-tick I/O to charge: a page cache, a spill
+        # pager or a mailbox byte cap.
+        io_ranks = [
+            r for r in range(p)
+            if self.caches[r] is not None or self.spills[r] is not None
+            or cfg.mailbox_cap_bytes is not None
+        ]
         if cfg.trace_timeline:
             # Seeding already ran; a pool's parent-side caches are the
             # cold fork-time copies (warm caches need workers=1).
@@ -505,7 +531,8 @@ class SimulationEngine:
                 had_traffic = any(arrivals)
                 if self.recovery is not None:
                     for r in self._rank_order:
-                        self.recovery.log_arrivals(t, r, arrivals[r])
+                        if arrivals[r]:
+                            self.recovery.log_arrivals(t, r, arrivals[r])
                 control_events = ex.tick(t, arrivals)
 
                 if self._record_digests:
@@ -533,7 +560,7 @@ class SimulationEngine:
                     + delta[:, 3] * m.packet_overhead_us
                     + delta[:, 4] * m.byte_us
                 )
-                for r in range(p):
+                for r in io_ranks:
                     if self.caches[r] is not None:
                         cache_us, faults = ex.cache_epoch(r)
                         costs[r] += cache_us
@@ -846,15 +873,21 @@ class _InProcessRanks:
     """The ``workers=1`` rank executor of :meth:`SimulationEngine.run`.
 
     Ranks run in this process and their packets go straight to the
-    engine's network.  Every answer is read lazily from the live rank,
-    mailbox and cache objects; nothing is built per rank per tick that
-    the loop does not ask for.
+    engine's network.  Only the tick's active ranks run
+    (:meth:`SimulationEngine._active_ranks`).  Every answer is read lazily
+    from the live rank, mailbox and cache objects; nothing is built per
+    rank per tick that the loop does not ask for.
     """
 
     def __init__(self, engine: SimulationEngine, resume) -> None:
         self.engine = engine
         #: where a replayed rank's mailbox sends (see :meth:`replay`).
         self.recorder = PacketRecorder(engine.network)
+        #: the last tick's active ranks, and the ranks whose counter rows
+        #: the next gather must also write: all of them at first, then
+        #: each rank a replay rewrote.
+        self._ran: list[int] = []
+        self._stale: list[int] = list(range(engine.graph.num_partitions))
         if resume is None:
             for r in range(engine.graph.num_partitions):
                 engine._seed_rank(r)
@@ -862,11 +895,12 @@ class _InProcessRanks:
     def tick(self, t: int, arrivals: list[list]) -> list[int]:
         eng = self.engine
         controls = [0] * len(eng.ranks)
-        for r in eng._rank_order:
+        active = self._ran = eng._active_ranks(eng._rank_order, arrivals)
+        for r in active:
             controls[r] = eng._rank_tick(r, arrivals[r])
         if eng.detectors is not None and not eng.detectors[0].terminated:
             eng.detectors[0].maybe_start_wave()
-        for r in eng._rank_order:
+        for r in active:
             eng.mailboxes[r].flush()
         return controls
 
@@ -882,21 +916,25 @@ class _InProcessRanks:
         packets to the network tick by tick."""
         mailbox = self.engine.mailboxes[r]
         mailbox.network = self.recorder
+        self._stale.append(r)
         try:
             return replay_rank(self.engine, self.recorder, r, epoch_tick, crash_tick, log)
         finally:
             mailbox.network = self.engine.network
 
     def gather_counters(self, cur: np.ndarray) -> None:
+        """Write the counter rows of the ranks that ran this tick or that
+        a replay rewrote; every other row of ``cur`` is still current."""
         eng = self.engine
-        for r, rank in enumerate(eng.ranks):
-            c = rank.counters
+        for r in self._ran + self._stale:
+            c = eng.ranks[r].counters
             mb = eng.mailboxes[r]
             cur[r, 0] = c.previsits
             cur[r, 1] = c.visits
             cur[r, 2] = c.edges_scanned
             cur[r, 3] = mb.packets_sent
             cur[r, 4] = mb.bytes_sent
+        self._stale = []
 
     def cache_epoch(self, r: int) -> tuple[float, object | None]:
         cache = self.engine.caches[r]

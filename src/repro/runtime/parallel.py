@@ -455,20 +455,28 @@ def _worker_tick(
     *,
     exit_mid_phase_a: bool = False,
 ) -> tuple[dict[int, RankTickReport], list[Packet] | None]:
-    """One tick's owned-rank work: phase A, wave (rank-0 owner), phase B,
-    then the per-rank epoch drains and termination inputs."""
+    """One tick's owned-rank work: phase A, wave (rank-0 owner), phase B
+    for the active owned ranks (``SimulationEngine._active_ranks``, the
+    in-process executor's rule), then every owned rank's epoch drains and
+    termination inputs."""
     cfg = engine.config
     owned_set = frozenset(owned)
     order = [r for r in engine._rank_order if r in owned_set]
+    inbox = [()] * len(engine.ranks)
+    for r, arrived in arrivals.items():
+        inbox[r] = arrived
+    active = engine._active_ranks(order, inbox)
     controls: dict[int, int] = {}
     packets_a: dict[int, list[Packet]] = {}
-    for idx, r in enumerate(order):
-        controls[r] = engine._rank_tick(r, arrivals.get(r, []))
+    for r in active:
+        controls[r] = engine._rank_tick(r, inbox[r])
         packets_a[r] = stub.take()
-        if exit_mid_phase_a and idx == 0:
-            # Injected mid-phase death: partial state mutations stay behind
-            # (batch arenas are shared) — exactly what rollback must undo.
-            os._exit(13)
+        if exit_mid_phase_a:
+            break
+    if exit_mid_phase_a:
+        # Injected mid-phase death: partial state mutations stay behind
+        # (batch arenas are shared) — exactly what rollback must undo.
+        os._exit(13)
 
     # The wave only reads and mutates rank 0's detector/mailbox, so running
     # it before *other workers'* phase A completes is unobservable; it is
@@ -480,10 +488,12 @@ def _worker_tick(
         detectors[0].maybe_start_wave()
         wave_packets = stub.take()
 
+    packets_b: dict[int, list[Packet]] = {}
+    for r in active:
+        engine.mailboxes[r].flush()
+        packets_b[r] = stub.take()
     reports: dict[int, RankTickReport] = {}
     for r in order:
-        engine.mailboxes[r].flush()
-        packets_b = stub.take()
         rank = engine.ranks[r]
         mailbox = engine.mailboxes[r]
         c = rank.counters
@@ -506,14 +516,14 @@ def _worker_tick(
             probe = tuple(rank.order_probe)
             rank.order_probe.clear()
         reports[r] = RankTickReport(
-            controls=controls[r],
+            controls=controls.get(r, 0),
             counters=(
                 c.previsits, c.visits, c.edges_scanned, c.pushes,
                 c.ghost_filtered, mailbox.packets_sent, mailbox.bytes_sent,
                 mailbox.visitors_sent, mailbox.visitors_received,
             ),
-            packets_a=packets_a[r],
-            packets_b=packets_b,
+            packets_a=packets_a.get(r, []),
+            packets_b=packets_b.get(r, []),
             cache_us=cache_us,
             cache_faults=cache_faults,
             spill_us=spill_us,

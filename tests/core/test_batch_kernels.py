@@ -116,6 +116,28 @@ class TestKCoreStateArrays:
         assert arrays.alive.tolist() == [s.alive for s in states]
         assert arrays.kcore.tolist() == [s.kcore for s in states]
 
+    @given(st.integers(1, 4),
+           st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=20),
+                    min_size=2, max_size=6),
+           st.lists(st.integers(1, 8), min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_sequence_matches_sequential_previsit(self, k, batches, degrees):
+        """Later batches meet dead vertices and counters earlier batches
+        already decremented; each batch's mask and the final arrays must
+        match one-at-a-time pre-visits over the concatenated arrivals."""
+        kcores = [max(d, k) for d in degrees]
+        flat = [i for b in batches for i in b]
+        expect_mask, states = _kcore_sequential(k, kcores, flat)
+        arrays = KCoreStateArrays(k, np.asarray(kcores, dtype=np.int64))
+        got = []
+        for b in batches:
+            idx = np.asarray(b, dtype=np.int64)
+            batch = VisitorBatch(idx, np.zeros(idx.size, dtype=np.int64))
+            got.extend(arrays.previsit_batch(idx, batch).tolist())
+        assert got == expect_mask
+        assert arrays.alive.tolist() == [s.alive for s in states]
+        assert arrays.kcore.tolist() == [s.kcore for s in states]
+
     def test_snapshot_restore_roundtrip(self):
         arrays = KCoreStateArrays(2, np.array([3, 2, 5], dtype=np.int64))
         snap = arrays.snapshot()
